@@ -15,31 +15,30 @@ Result<QueryTaxonomy> ClassifyQueries(
     return taxonomy;
   }
 
-  // Pairwise containment matrix over queries, via the batch engine: one
-  // memoized chase per query, the signature prefilter discharging most
-  // pairs, homomorphism searches fanned out for the survivors.
+  // Pairwise containment over queries, via the batch engine: one memoized
+  // chase per query, the signature prefilter discharging most pairs, and
+  // homomorphism searches fanned out for the survivors. Only survivors
+  // come back — every other pair is not contained — so the classifier
+  // never holds an n x n verdict matrix.
   ContainmentEngine engine(world, options);
   for (const ConjunctiveQuery& query : queries) {
     Result<size_t> id = engine.AddQuery(query);
     if (!id.ok()) return id.status();
   }
-  Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
-  if (!matrix.ok()) return matrix.status();
+  Result<SparseVerdicts> sparse = engine.CheckAllSparse();
+  if (!sparse.ok()) return sparse.status();
 
   int unknown_checks = 0;
   std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
-  for (size_t i = 0; i < n; ++i) {
-    contained[i][i] = true;
-    for (size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      // An UNKNOWN verdict (resource trip) counts as not-contained here:
-      // the taxonomy only merges or orders classes on *proven*
-      // containments, so trips can hide structure but never fabricate it.
-      contained[i][j] = (*matrix)[i][j].contained;
-      if ((*matrix)[i][j].resolution == Resolution::kUnknown) {
-        ++unknown_checks;
-      }
-    }
+  for (size_t i = 0; i < n; ++i) contained[i][i] = true;
+  for (size_t s = 0; s < sparse->pairs.size(); ++s) {
+    const auto& [i, j] = sparse->pairs[s];
+    const PairVerdict& verdict = sparse->verdicts[s];
+    // An UNKNOWN verdict (resource trip) counts as not-contained here:
+    // the taxonomy only merges or orders classes on *proven*
+    // containments, so trips can hide structure but never fabricate it.
+    contained[i][j] = verdict.contained;
+    if (verdict.resolution == Resolution::kUnknown) ++unknown_checks;
   }
   const BatchStats& stats = engine.stats();
   return TaxonomyFromContainment(

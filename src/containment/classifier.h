@@ -60,10 +60,11 @@ QueryTaxonomy TaxonomyFromContainment(
     const std::vector<std::vector<bool>>& contained, int checks,
     int unknown_checks, int pruned_checks);
 
-/// Classifies `queries` (all must have equal arity) under Sigma_FL. The
-/// n(n-1) pairwise checks run through a ContainmentEngine: each query is
-/// chased once (not once per pair) and the homomorphism searches fan out
-/// over `options.jobs` threads.
+/// Classifies `queries` under Sigma_FL. The pairwise checks run through a
+/// ContainmentEngine: each query is chased once (not once per pair) and
+/// the homomorphism searches fan out over `options.jobs` threads. Queries
+/// of different arities are never contained in one another; those pairs
+/// are not checked and count toward neither `checks` nor `pruned_checks`.
 Result<QueryTaxonomy> ClassifyQueries(
     World& world, const std::vector<ConjunctiveQuery>& queries,
     const BatchContainmentOptions& options = {});

@@ -152,121 +152,124 @@ class StageTimer {
 
 }  // namespace
 
+std::vector<int> ContainmentEngine::Arities() const {
+  std::vector<int> arities(entries_.size());
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    arities[i] = entries_[i]->query.arity();
+  }
+  return arities;
+}
+
 void ContainmentEngine::Cancel() { cancel_source_.Cancel(); }
 
 void ContainmentEngine::ResetCancel() { cancel_source_.Reset(); }
 
-template <class OutFn>
-Status ContainmentEngine::CheckPairsCore(
-    std::span<const std::pair<size_t, size_t>> pairs, OutFn&& out) {
+template <class ForEachCandidate>
+Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
+                                         SparseVerdicts& out,
+                                         std::vector<size_t>* positions) {
   const ContainmentOptions& copts = options_.containment;
   const ResourceBudget& budget = copts.budget;
   // Snapshot the token once: worker threads copy it concurrently below,
   // and ResetCancel (which swaps the shared flag) is only legal between
   // batches.
   const CancellationToken engine_token = cancel_source_.token();
-
-  // Validate against dense per-query arities: chasing pointers through
-  // entries_ for every one of n(n-1) pairs costs more than the whole
-  // signature stage.
   const size_t num_queries = entries_.size();
-  std::vector<int> arities(num_queries);
-  for (size_t i = 0; i < num_queries; ++i) {
-    arities[i] = entries_[i]->query.arity();
-  }
-  for (const auto& [lhs, rhs] : pairs) {
-    if (lhs >= num_queries || rhs >= num_queries) {
-      return InvalidArgumentError("pair refers to an unregistered query id");
-    }
-    if (arities[lhs] != arities[rhs]) {
-      return InvalidArgumentError(
-          StrCat("containment requires equal arities; got ",
-                 arities[lhs], " and ", arities[rhs]));
-    }
-  }
 
   TraceSpan batch_span("engine.check_pairs");
   AnnotateWithRequest(batch_span);
-  if (batch_span.active()) {
-    batch_span.Arg("pairs", int64_t(pairs.size()));
-  }
   // Snapshot for the per-batch metrics fold at the end (stats_ is
   // cumulative across batches).
   const BatchStats stats_before = stats_;
 
-  std::vector<uint8_t> needs_search(pairs.size(), 0);
-  std::vector<uint8_t> pruned(pairs.size(), 0);
-  // Why this pair's chase prefix cannot refute containment (kNone when it
-  // can): consumed by the hom phase to settle negatives.
-  std::vector<TripReason> chase_trips(pairs.size(), TripReason::kNone);
-
-  // ---- stage 0: signature prefilter --------------------------------------
+  // ---- stage 0: signature prefilter, emitting the survivor list ---------
   //
   // A failed subset test (signature.h) is a sound definite kNotContained:
-  // the pair skips both expensive stages entirely. One governor covers the
+  // the pair skips both expensive stages entirely and never enters the
+  // survivor list, so every later phase — schedule, chase, fan-out,
+  // accounting — iterates only the survivors. One governor covers the
   // whole stage — each test is a few word ops, so per-pair re-anchoring
   // would cost more than the work it guards. Once the governor trips,
-  // pruning STOPS and every remaining pair falls through to the governed
+  // pruning STOPS and every remaining pair survives into the governed
   // chase/hom stages, which degrade it to kUnknown: a tripped stage-0
   // deadline must never manufacture a definite verdict.
-  if (copts.use_signature_index && !pairs.empty()) {
-    TraceSpan sig_span("engine.signature_stage");
-    AnnotateWithRequest(sig_span);
-    const SteadyClock::time_point sig_start = SteadyClock::now();
-    uint64_t pruned_here = 0;
-    ExecGovernor sig_governor = MakeChaseGovernor(budget);
-    sig_governor.AddCancellation(engine_token);
-    // Dense signature pointers: one pointer chase per query instead of
-    // two per pair.
-    std::vector<const ClosureSignature*> sigs(num_queries, nullptr);
-    for (size_t i = 0; i < num_queries; ++i) {
-      if (entries_[i]->signature.has_value()) {
-        sigs[i] = &*entries_[i]->signature;
-      }
+  const bool filter = copts.use_signature_index;
+  std::optional<TraceSpan> sig_span;
+  if (filter) {
+    sig_span.emplace("engine.signature_stage");
+    AnnotateWithRequest(*sig_span);
+  }
+  const SteadyClock::time_point sig_start = SteadyClock::now();
+  ExecGovernor sig_governor = MakeChaseGovernor(budget);
+  sig_governor.AddCancellation(engine_token);
+  // Dense signature pointers: one pointer chase per query instead of two
+  // per pair.
+  std::vector<const ClosureSignature*> sigs(filter ? num_queries : 0,
+                                            nullptr);
+  for (size_t i = 0; i < sigs.size(); ++i) {
+    if (entries_[i]->signature.has_value()) sigs[i] = &*entries_[i]->signature;
+  }
+  std::vector<std::pair<size_t, size_t>>& pairs = out.pairs;
+  bool pruning = filter;
+  uint64_t candidates = 0;
+  uint64_t pruned_here = 0;
+  for_each_candidate([&](size_t lhs, size_t rhs) {
+    const uint64_t k = candidates++;
+    // A subset test is a few word ops; polling the governor every pair
+    // would double the stage's cost. A 64-pair stride still bounds the
+    // deadline overshoot to a couple of microseconds — and k == 0 is
+    // polled, so an already-tripped budget prunes nothing.
+    if (pruning && (k & 63) == 0 && !sig_governor.CheckNow()) {
+      pruning = false;
     }
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      // A subset test is a few word ops; polling the governor every pair
-      // would double the stage's cost. A 64-pair stride still bounds the
-      // deadline overshoot to a couple of microseconds — and k == 0 is
-      // polled, so an already-tripped budget prunes nothing.
-      if ((k & 63) == 0 && !sig_governor.CheckNow()) break;
-      const ClosureSignature* l = sigs[pairs[k].first];
-      const ClosureSignature* r = sigs[pairs[k].second];
-      if (l == nullptr || r == nullptr) continue;
-      if (MayContain(*l, r->base)) continue;
-      pruned[k] = 1;
-      out(k).pruned = true;
+    if (pruning && sigs[lhs] != nullptr && sigs[rhs] != nullptr &&
+        !MayContain(*sigs[lhs], sigs[rhs]->base)) {
       ++pruned_here;
+      return;
     }
+    pairs.emplace_back(lhs, rhs);
+    if (positions != nullptr) positions->push_back(size_t(k));
+  });
+  if (filter) {
     FoldGovernorMetrics(sig_governor);
     stats_.pruned_pairs += pruned_here;
     stats_.signature_us += MsSince(sig_start) * 1000.0;
-    if (sig_span.active()) {
-      sig_span.Arg("pairs", int64_t(pairs.size()))
+    if (sig_span->active()) {
+      sig_span->Arg("pairs", int64_t(candidates))
           .Arg("pruned", int64_t(pruned_here));
     }
+    sig_span.reset();
   }
+  if (batch_span.active()) {
+    batch_span.Arg("pairs", int64_t(candidates));
+  }
+  const size_t survivors = pairs.size();
+  std::vector<PairVerdict>& verdicts = out.verdicts;
+  verdicts.assign(survivors, PairVerdict{});
+  std::vector<uint8_t> needs_search(survivors, 0);
+  // Why this pair's chase prefix cannot refute containment (kNone when it
+  // can): consumed by the hom phase to settle negatives.
+  std::vector<TripReason> chase_trips(survivors, TripReason::kNone);
 
   // ---- cost-ordered schedule ---------------------------------------------
   //
-  // With use_cost_scheduling on, both remaining phases iterate the pairs
-  // through a permutation sorted by predicted cost ascending
+  // With use_cost_scheduling on, both remaining phases iterate the
+  // survivors through a permutation sorted by predicted cost ascending
   // (analysis/cost_model.h): cheap verdicts land first, and a runaway
   // pair's budget trip cannot starve them. The estimate never touches a
   // verdict — only the visit order and (below) the hom step budget, which
   // calibration can only raise.
-  std::vector<size_t> order(pairs.size());
+  std::vector<size_t> order(survivors);
   std::iota(order.begin(), order.end(), size_t{0});
   std::vector<double> pair_cost;
   double mean_cost = 0.0;
-  if (copts.use_cost_scheduling && !pairs.empty()) {
+  if (copts.use_cost_scheduling && survivors > 0) {
     const SteadyClock::time_point cost_start = SteadyClock::now();
-    pair_cost.assign(pairs.size(), 0.0);
+    pair_cost.assign(survivors, 0.0);
     uint64_t costed = 0;
-    for (size_t k = 0; k < pairs.size(); ++k) {
-      if (pruned[k] != 0) continue;  // skipped by both phases: cost 0
-      const Entry& l = *entries_[pairs[k].first];
-      const Entry& r = *entries_[pairs[k].second];
+    for (size_t s = 0; s < survivors; ++s) {
+      const Entry& l = *entries_[pairs[s].first];
+      const Entry& r = *entries_[pairs[s].second];
       if (!l.target_profile.has_value() || !r.pattern_profile.has_value()) {
         continue;
       }
@@ -278,9 +281,9 @@ Status ContainmentEngine::CheckPairsCore(
       }
       const analysis::CostEstimate estimate = analysis::EstimatePairCost(
           *l.target_profile, *r.pattern_profile, level, copts.max_chase_atoms);
-      pair_cost[k] = estimate.Scalar();
-      out(k).predicted_cost = pair_cost[k];
-      mean_cost += pair_cost[k];
+      pair_cost[s] = estimate.Scalar();
+      verdicts[s].predicted_cost = pair_cost[s];
+      mean_cost += pair_cost[s];
       ++costed;
     }
     if (costed > 0) mean_cost /= double(costed);
@@ -299,12 +302,11 @@ Status ContainmentEngine::CheckPairsCore(
   // and the next pair starts with a full budget again.
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
-  for (size_t ord = 0; ord < pairs.size(); ++ord) {
-    const size_t k = order[ord];
-    if (pruned[k] != 0) continue;  // discharged in stage 0
-    const auto& [lhs, rhs] = pairs[k];
+  for (size_t ord = 0; ord < survivors; ++ord) {
+    const size_t s = order[ord];
+    const auto& [lhs, rhs] = pairs[s];
     Entry& l = *entries_[lhs];
-    PairVerdict& verdict = out(k);
+    PairVerdict& verdict = verdicts[s];
     ++stats_.chase_requests;
     TraceSpan span("engine.chase_stage");
     AnnotateWithRequest(span);
@@ -322,7 +324,7 @@ Status ContainmentEngine::CheckPairsCore(
       } else {
         ++stats_.chase_cache_hits;
       }
-      needs_search[k] = 1;
+      needs_search[s] = 1;
       continue;
     }
 
@@ -366,15 +368,15 @@ Status ContainmentEngine::CheckPairsCore(
       verdict.lhs_unsatisfiable = true;
       continue;
     }
-    chase_trips[k] = ChaseTripReason(chase.outcome(), chase_governor);
-    if (chase_trips[k] == TripReason::kCancelled) {
+    chase_trips[s] = ChaseTripReason(chase.outcome(), chase_governor);
+    if (chase_trips[s] == TripReason::kCancelled) {
       MarkPairUnknown(verdict, TripReason::kCancelled);
       continue;
     }
     // A truncated prefix (atom budget, or this pair's chase deadline) is
     // still worth searching: a homomorphism into it is a sound positive,
     // and the hom stage anchors its own fresh timeout slice.
-    needs_search[k] = 1;
+    needs_search[s] = 1;
   }
 
   // Freeze every handle: from here on the chase artifacts are immutable
@@ -389,17 +391,17 @@ Status ContainmentEngine::CheckPairsCore(
   // interrupted frozen handle must not resume here) and run under a
   // per-pair hom governor with its own anchored timeout.
   const SteadyClock::time_point fanout_start = SteadyClock::now();
-  auto run_pair_inner = [&](size_t k) {
-    PairVerdict& verdict = out(k);
+  auto run_pair_inner = [&](size_t s) {
+    PairVerdict& verdict = verdicts[s];
     // Budget calibration: an expensive-predicted pair gets a raised hom
     // step budget (never lowered — see ResourceBudget::FromEstimate), so
     // step-budget kUnknowns can only decrease relative to the flat knob.
     ResourceBudget pair_budget = budget;
     if (copts.use_cost_scheduling && budget.hom_step_budget > 0 &&
-        k < pair_cost.size() && pair_cost[k] > 0.0) {
+        s < pair_cost.size() && pair_cost[s] > 0.0) {
       // Runs on worker threads: stats_ is not touched here (the
       // calibrated-pair count is folded in the post-join accounting loop).
-      pair_budget = ResourceBudget::FromEstimate(budget, pair_cost[k],
+      pair_budget = ResourceBudget::FromEstimate(budget, pair_cost[s],
                                                  mean_cost);
     }
     ExecGovernor hom_governor = MakeHomGovernor(pair_budget);
@@ -409,12 +411,12 @@ Status ContainmentEngine::CheckPairsCore(
       MarkPairUnknown(verdict,
                       hom_governor.trip() == TripReason::kCancelled
                           ? TripReason::kCancelled
-                          : chase_trips[k] != TripReason::kNone
-                                ? chase_trips[k]
+                          : chase_trips[s] != TripReason::kNone
+                                ? chase_trips[s]
                                 : hom_governor.trip());
       return;
     }
-    const auto& [lhs, rhs] = pairs[k];
+    const auto& [lhs, rhs] = pairs[s];
     const Entry& l = *entries_[lhs];
     const Entry& r = *entries_[rhs];
     const FactIndex& target = copts.depth == ChaseDepth::kNone
@@ -434,8 +436,8 @@ Status ContainmentEngine::CheckPairsCore(
       MarkPairContained(verdict);
       return;
     }
-    if (chase_trips[k] != TripReason::kNone) {
-      MarkPairUnknown(verdict, chase_trips[k]);
+    if (chase_trips[s] != TripReason::kNone) {
+      MarkPairUnknown(verdict, chase_trips[s]);
     } else if (hom_governor.tripped()) {
       MarkPairUnknown(verdict, hom_governor.trip());
     } else {
@@ -443,18 +445,18 @@ Status ContainmentEngine::CheckPairsCore(
       verdict.resolution = Resolution::kNotContained;
     }
   };
-  auto run_pair = [&](size_t k) {
-    if (needs_search[k] == 0) return;
-    PairVerdict& verdict = out(k);
+  auto run_pair = [&](size_t s) {
+    if (needs_search[s] == 0) return;
+    PairVerdict& verdict = verdicts[s];
     verdict.queue_wait_ms = MsSince(fanout_start);
     TraceSpan span("engine.hom_stage");
     AnnotateWithRequest(span);
     {
       StageTimer timer(&verdict.hom_ms);
-      run_pair_inner(k);
+      run_pair_inner(s);
     }
     if (span.active()) {
-      const auto& [lhs, rhs] = pairs[k];
+      const auto& [lhs, rhs] = pairs[s];
       span.Arg("lhs", int64_t(lhs))
           .Arg("rhs", int64_t(rhs))
           .Arg("resolution", ResolutionName(verdict.resolution));
@@ -466,15 +468,15 @@ Status ContainmentEngine::CheckPairsCore(
 
   size_t jobs = options_.jobs == 0 ? ThreadPool::DefaultThreads()
                                    : size_t(options_.jobs);
-  jobs = std::min(jobs, pairs.size());
-  // ParallelFor submits indices FIFO, so dispatching through `order` makes
-  // workers pick the cheapest-predicted pairs up first.
+  jobs = std::min(jobs, survivors);
+  // ParallelFor claims indices in ascending chunks, so dispatching through
+  // `order` makes workers pick the cheapest-predicted pairs up first.
   auto run_ordered = [&](size_t ord) { run_pair(order[ord]); };
   if (jobs <= 1) {
-    for (size_t ord = 0; ord < pairs.size(); ++ord) run_ordered(ord);
+    for (size_t ord = 0; ord < survivors; ++ord) run_ordered(ord);
   } else {
     ThreadPool pool(jobs);
-    ParallelFor(pool, pairs.size(), run_ordered);
+    ParallelFor(pool, survivors, run_ordered);
   }
 
   // The fan-out has joined; a later CheckPairs call on this engine may
@@ -483,14 +485,13 @@ Status ContainmentEngine::CheckPairsCore(
     if (entry->chase.has_value()) entry->chase->Thaw();
   }
 
-  stats_.pairs_checked += pairs.size();
+  // Pruned pairs ran neither stage and are not in the survivor list:
+  // nothing to record, and folding their zero times in would deflate
+  // every mean.
+  stats_.pairs_checked += candidates;
   const bool metrics = MetricsRegistry::enabled();
-  for (size_t k = 0; k < pairs.size(); ++k) {
-    // Pruned pairs ran neither stage: nothing to record, and folding
-    // their zero times in would deflate every mean — skip on the dense
-    // flag so the pruned fast path never touches the verdict memory.
-    if (pruned[k] != 0) continue;
-    const PairVerdict& verdict = out(k);
+  for (size_t s = 0; s < survivors; ++s) {
+    const PairVerdict& verdict = verdicts[s];
     if (verdict.resolution == Resolution::kUnknown) {
       // Degraded pairs: their search was cut off mid-flight, so their
       // effort and stage times stay out of the throughput aggregates
@@ -507,8 +508,8 @@ Status ContainmentEngine::CheckPairsCore(
     }
     stats_.hom.Accumulate(verdict.hom_stats);
     if (copts.use_cost_scheduling && budget.hom_step_budget > 0 &&
-        needs_search[k] != 0 && k < pair_cost.size() &&
-        pair_cost[k] > mean_cost && mean_cost > 0.0) {
+        needs_search[s] != 0 && s < pair_cost.size() &&
+        pair_cost[s] > mean_cost && mean_cost > 0.0) {
       // Mirrors the FromEstimate condition in run_pair_inner (ratio > 1),
       // counted here because workers must not touch stats_.
       ++stats_.budget_calibrated_pairs;
@@ -516,7 +517,7 @@ Status ContainmentEngine::CheckPairsCore(
     if (copts.depth != ChaseDepth::kNone) {
       stats_.chase_stage.Record(verdict.chase_ms);
     }
-    if (needs_search[k] != 0) {
+    if (needs_search[s] != 0) {
       stats_.hom_stage.Record(verdict.hom_ms);
       stats_.queue_wait.Record(verdict.queue_wait_ms);
     }
@@ -528,7 +529,7 @@ Status ContainmentEngine::CheckPairsCore(
       if (copts.depth != ChaseDepth::kNone) {
         chase_us.Record(uint64_t(verdict.chase_ms * 1000.0));
       }
-      if (needs_search[k] != 0) {
+      if (needs_search[s] != 0) {
         hom_us.Record(uint64_t(verdict.hom_ms * 1000.0));
         wait_us.Record(uint64_t(verdict.queue_wait_ms * 1000.0));
       }
@@ -549,7 +550,7 @@ Status ContainmentEngine::CheckPairsCore(
     fold(pairs_checked, stats_before.pairs_checked, stats_.pairs_checked);
     fold(pruned_pairs, stats_before.pruned_pairs, stats_.pruned_pairs);
     fold(unknown, stats_before.unknown_pairs, stats_.unknown_pairs);
-    if (copts.use_signature_index && !pairs.empty()) {
+    if (filter && candidates > 0) {
       static Histogram& sig_us =
           registry.histogram("engine.signature_stage_us");
       sig_us.Record(
@@ -565,29 +566,77 @@ Status ContainmentEngine::CheckPairsCore(
 
 Result<std::vector<PairVerdict>> ContainmentEngine::CheckPairs(
     std::span<const std::pair<size_t, size_t>> pairs) {
-  std::vector<PairVerdict> verdicts(pairs.size());
+  // Validate against dense per-query arities: chasing pointers through
+  // entries_ for every pair of a large batch costs more than the whole
+  // signature stage.
+  const std::vector<int> arities = Arities();
+  const size_t num_queries = arities.size();
+  for (const auto& [lhs, rhs] : pairs) {
+    if (lhs >= num_queries || rhs >= num_queries) {
+      return InvalidArgumentError("pair refers to an unregistered query id");
+    }
+    if (arities[lhs] != arities[rhs]) {
+      return InvalidArgumentError(
+          StrCat("containment requires equal arities; got ",
+                 arities[lhs], " and ", arities[rhs]));
+    }
+  }
+  SparseVerdicts sparse;
+  std::vector<size_t> positions;
   FLOQ_RETURN_IF_ERROR(CheckPairsCore(
-      pairs, [&](size_t k) -> PairVerdict& { return verdicts[k]; }));
+      [&](auto&& visit) {
+        for (const auto& [lhs, rhs] : pairs) visit(lhs, rhs);
+      },
+      sparse, &positions));
+  // Every requested pair the core did not return was pruned in stage 0.
+  PairVerdict pruned;
+  pruned.pruned = true;
+  std::vector<PairVerdict> verdicts(pairs.size(), pruned);
+  for (size_t s = 0; s < positions.size(); ++s) {
+    verdicts[positions[s]] = sparse.verdicts[s];
+  }
   return verdicts;
 }
 
+Result<SparseVerdicts> ContainmentEngine::CheckAllSparse() {
+  // Cross-arity pairs are never candidates: containment requires equal
+  // arities, so they are not contained and count as neither checked nor
+  // pruned (ContainmentIndex::Insert skips them the same way).
+  const std::vector<int> arities = Arities();
+  const size_t n = arities.size();
+  SparseVerdicts sparse;
+  FLOQ_RETURN_IF_ERROR(CheckPairsCore(
+      [&](auto&& visit) {
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j < n; ++j) {
+            if (i != j && arities[i] == arities[j]) visit(i, j);
+          }
+        }
+      },
+      sparse, nullptr));
+  return sparse;
+}
+
 Result<std::vector<std::vector<PairVerdict>>> ContainmentEngine::CheckAll() {
-  const size_t n = entries_.size();
-  std::vector<std::pair<size_t, size_t>> pairs;
-  pairs.reserve(n * (n - 1));
+  Result<SparseVerdicts> sparse = CheckAllSparse();
+  if (!sparse.ok()) return sparse.status();
+  const std::vector<int> arities = Arities();
+  const size_t n = arities.size();
+  // Unlisted same-arity cells were pruned; the diagonal and cross-arity
+  // cells stay defaulted.
+  PairVerdict pruned;
+  pruned.pruned = true;
+  std::vector<std::vector<PairVerdict>> matrix(n);
   for (size_t i = 0; i < n; ++i) {
+    matrix[i].assign(n, pruned);
     for (size_t j = 0; j < n; ++j) {
-      if (i != j) pairs.emplace_back(i, j);
+      if (i == j || arities[i] != arities[j]) matrix[i][j] = PairVerdict{};
     }
   }
-  // Verdicts land directly in their matrix cells (the diagonal stays
-  // defaulted): no flat intermediate vector, no n^2 copy.
-  std::vector<std::vector<PairVerdict>> matrix(n,
-                                               std::vector<PairVerdict>(n));
-  FLOQ_RETURN_IF_ERROR(CheckPairsCore(pairs, [&](size_t k) -> PairVerdict& {
-    const auto& [i, j] = pairs[k];
-    return matrix[i][j];
-  }));
+  for (size_t s = 0; s < sparse->pairs.size(); ++s) {
+    const auto& [i, j] = sparse->pairs[s];
+    matrix[i][j] = sparse->verdicts[s];
+  }
   return matrix;
 }
 

@@ -28,7 +28,9 @@
 // per query (signature.h) from a bounded probe chase, and any pair whose
 // predicate/constant subset test fails is discharged as a definite
 // kNotContained before either expensive stage — typically the vast
-// majority of a dense N^2 matrix (DESIGN.md §13).
+// majority of the N^2 pairs (DESIGN.md §13). Only the survivors go on:
+// every later phase iterates a compact survivor list, and
+// CheckAllSparse returns just those verdicts.
 //
 // Concurrency model (see DESIGN.md §8): all chase construction, deepening,
 // and query renaming happen sequentially on the calling thread (they draw
@@ -154,6 +156,19 @@ struct PairVerdict {
   double predicted_cost = 0.0;
 };
 
+/// The sparse form of an all-pairs batch (ContainmentEngine::
+/// CheckAllSparse): only the ordered pairs that survived the stage-0
+/// signature filter, with their verdicts. Every same-arity pair i != j
+/// that is not listed was pruned — a definite kNotContained with no chase
+/// or hom work. Cross-arity pairs are never listed: containment requires
+/// equal arities, so they are not contained and were never checked.
+struct SparseVerdicts {
+  /// Surviving (lhs, rhs) id pairs in ascending (lhs, rhs) order.
+  std::vector<std::pair<size_t, size_t>> pairs;
+  /// verdicts[s] answers query(pairs[s].first) ⊆ query(pairs[s].second).
+  std::vector<PairVerdict> verdicts;
+};
+
 class ContainmentEngine {
  public:
   explicit ContainmentEngine(World& world,
@@ -173,15 +188,24 @@ class ContainmentEngine {
   const ConjunctiveQuery& query(size_t id) const;
 
   /// Decides lhs ⊆_Sigma rhs for every requested (lhs, rhs) id pair.
-  /// Verdicts align with `pairs`. Fails on arity mismatches. Resource
-  /// trips never fail the batch: the affected pair's verdict becomes
-  /// Resolution::kUnknown with a typed reason and every other pair still
-  /// gets a definite answer.
+  /// Verdicts align with `pairs`; pruned pairs carry `pruned`. Fails on
+  /// arity mismatches. Resource trips never fail the batch: the affected
+  /// pair's verdict becomes Resolution::kUnknown with a typed reason and
+  /// every other pair still gets a definite answer.
   Result<std::vector<PairVerdict>> CheckPairs(
       std::span<const std::pair<size_t, size_t>> pairs);
 
-  /// The full matrix: verdicts[i][j] answers query(i) ⊆ query(j) for all
-  /// i != j (the diagonal is left defaulted — containment is reflexive).
+  /// Decides every ordered pair i != j of equal arity and returns only the
+  /// pairs that survived the signature filter (see SparseVerdicts). The
+  /// batch costs time and memory in proportion to the survivors, not to
+  /// the n(n-1) pairs; stats() still counts every candidate in
+  /// pairs_checked and the discharged ones in pruned_pairs.
+  Result<SparseVerdicts> CheckAllSparse();
+
+  /// The full matrix, expanded from CheckAllSparse: verdicts[i][j] answers
+  /// query(i) ⊆ query(j) for all i != j, with `pruned` set on the cells the
+  /// signature filter discharged. The diagonal (containment is reflexive)
+  /// and cross-arity cells are left defaulted.
   Result<std::vector<std::vector<PairVerdict>>> CheckAll();
 
   /// The materialized chase of a query, if one was built (nullptr before
@@ -213,15 +237,18 @@ class ContainmentEngine {
  private:
   struct Entry;
 
-  /// The batch pipeline behind CheckPairs and CheckAll. `out(k)` returns
-  /// the verdict slot for pairs[k]; templating the output lets CheckAll
-  /// write each verdict straight into its final matrix cell instead of
-  /// filling a flat vector and copying — on an n-thousand-query registry
-  /// that copy (and its second allocation) would dominate the pruned-pair
-  /// fast path. Instantiated only in engine.cc.
-  template <class OutFn>
-  Status CheckPairsCore(std::span<const std::pair<size_t, size_t>> pairs,
-                        OutFn&& out);
+  /// The batch pipeline behind CheckPairs and CheckAllSparse.
+  /// `for_each_candidate(visit)` calls visit(lhs, rhs) once per candidate
+  /// pair; stage 0 appends the survivors to `out.pairs` (and, when
+  /// `positions` is non-null, each survivor's candidate ordinal), and every
+  /// later phase iterates only the survivors. Instantiated only in
+  /// engine.cc.
+  template <class ForEachCandidate>
+  Status CheckPairsCore(ForEachCandidate&& for_each_candidate,
+                        SparseVerdicts& out, std::vector<size_t>* positions);
+
+  /// Dense per-query arities, indexed by id.
+  std::vector<int> Arities() const;
 
   World& world_;
   BatchContainmentOptions options_;

@@ -1,6 +1,8 @@
 #ifndef FLOQ_UTIL_THREAD_POOL_H_
 #define FLOQ_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -13,10 +15,13 @@
 #include "util/check.h"
 
 // A small fixed-size thread pool: a task queue guarded by one mutex and a
-// pair of condition variables, no external dependencies. Built for the
-// batch-containment engine's fan-out of independent homomorphism searches,
-// where tasks are coarse (milliseconds and up) and the pool overhead is
-// negligible; it is deliberately not a work-stealing scheduler.
+// pair of condition variables, no external dependencies; deliberately not a
+// work-stealing scheduler. Built for the batch-containment engine's fan-out
+// of independent homomorphism searches, which are fine-grained: a surviving
+// pair averages around a microsecond of search, less than one trip
+// through the locked queue. ParallelFor therefore never queues a task per
+// index — it queues one task per worker, and the workers claim fixed-size
+// chunks of the index range from a shared atomic cursor.
 
 namespace floq {
 
@@ -52,8 +57,15 @@ class ThreadPool {
       std::unique_lock<std::mutex> lock(mutex_);
       queue_.push(std::move(task));
       ++pending_;
+      ++submitted_;
     }
     wake_.notify_one();
+  }
+
+  /// Tasks submitted over the pool's lifetime.
+  size_t submitted() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return submitted_;
   }
 
   /// Blocks until every task submitted so far has finished executing.
@@ -95,16 +107,34 @@ class ThreadPool {
   std::condition_variable wake_;
   std::condition_variable idle_;
   size_t pending_ = 0;  // submitted but not yet finished
+  size_t submitted_ = 0;
   bool stopping_ = false;
 };
 
 /// Runs fn(0) .. fn(count - 1) across the pool and blocks until all are
-/// done. The caller must not submit other work to `pool` concurrently —
-/// Wait() would observe it.
+/// done. Submits min(pool.size(), count) tasks; each claims fixed-size
+/// chunks of ascending indices from one atomic cursor until the range is
+/// exhausted, so indices start in roughly ascending order (callers that
+/// sort work cheapest-first keep that dispatch order). The caller must not
+/// submit other work to `pool` concurrently — Wait() would observe it.
 inline void ParallelFor(ThreadPool& pool, size_t count,
                         const std::function<void(size_t)>& fn) {
-  for (size_t i = 0; i < count; ++i) {
-    pool.Submit([&fn, i] { fn(i); });
+  if (count == 0) return;
+  const size_t tasks = std::min(pool.size(), count);
+  // A chunk is ~1/32 of a worker's share and at most 32 indices: small
+  // ranges claim one index at a time, which balances best, and on a
+  // cost-sorted range one chunk stays a small slice of the expensive tail.
+  const size_t chunk = std::clamp<size_t>(count / (tasks * 32), 1, 32);
+  std::atomic<size_t> cursor{0};
+  for (size_t t = 0; t < tasks; ++t) {
+    pool.Submit([&cursor, &fn, count, chunk] {
+      for (;;) {
+        const size_t begin = cursor.fetch_add(chunk);
+        if (begin >= count) return;
+        const size_t end = std::min(begin + chunk, count);
+        for (size_t i = begin; i < end; ++i) fn(i);
+      }
+    });
   }
   pool.Wait();
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <string>
@@ -10,12 +11,14 @@
 #include <vector>
 
 #include "chase/chase.h"
+#include "containment/classifier.h"
 #include "containment/containment.h"
 #include "gen/generators.h"
 #include "query/parser.h"
 #include "term/atom.h"
 #include "term/term.h"
 #include "term/world.h"
+#include "util/rng.h"
 
 namespace floq {
 namespace {
@@ -840,6 +843,193 @@ TEST(GovernedEngineTest, SignatureStageDeadlineDegradesToUnknown) {
   EXPECT_EQ(engine.stats().pruned_pairs, 0u);
   EXPECT_EQ(engine.stats().unknown_pairs, 1u);
   EXPECT_EQ(engine.stats().timed_out_pairs, 1u);
+}
+
+// ---- survivor-list (sparse) path -----------------------------------------
+
+// A boolean registry shaped like the classify benchmark: random
+// meta-queries over a small constant pool, most of whose ordered pairs
+// fail the signature subset test, plus a triangle query (id 0) and a hard
+// 40-vertex graph query (id 1). Pair (0, 1) asks for a 3-coloring of the
+// graph, so under a hom step budget it is the one pair that degrades to
+// UNKNOWN.
+std::vector<ConjunctiveQuery> SparseBooleanMix(World& world) {
+  std::vector<ConjunctiveQuery> queries;
+  queries.push_back(
+      Q(world, "h() :- e(A, B), e(B, A), e(B, C), e(C, B), e(C, A), e(A, C)."));
+  ConjunctiveQuery graph = Q(world, HardGraphQuery(7).c_str());
+  queries.emplace_back("g", std::vector<Term>{}, graph.body());
+  Rng rng(2024);
+  gen::RandomQuerySpec spec;
+  spec.arity = 0;
+  spec.variable_pool = 4;
+  spec.constant_pool = 4;
+  spec.constant_probability = 0.3;
+  spec.with_constraints = true;
+  for (int i = 0; i < 200; ++i) {
+    spec.seed = rng.Next();
+    spec.atoms = int(rng.Between(4, 8));
+    queries.push_back(
+        gen::MakeRandomQuery(world, spec, "r" + std::to_string(i)));
+  }
+  return queries;
+}
+
+bool SameVerdict(const PairVerdict& a, const PairVerdict& b) {
+  return a.resolution == b.resolution && a.contained == b.contained &&
+         a.unknown_reason == b.unknown_reason && a.pruned == b.pruned &&
+         a.lhs_unsatisfiable == b.lhs_unsatisfiable &&
+         a.level_bound == b.level_bound;
+}
+
+// The sparse result, CheckAll's dense cells, jobs=1 and jobs=4, and cost
+// scheduling on and off all agree cell for cell.
+TEST(SparseEngineTest, SurvivorListMatchesDenseMatrixAcrossJobsAndSchedules) {
+  World world;
+  const std::vector<ConjunctiveQuery> queries = SparseBooleanMix(world);
+  const size_t n = queries.size();
+  std::vector<std::vector<PairVerdict>> reference;
+  for (bool schedule : {false, true}) {
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE("cost scheduling " + std::to_string(schedule) +
+                   ", jobs " + std::to_string(jobs));
+      BatchContainmentOptions options;
+      options.jobs = jobs;
+      options.containment.use_cost_scheduling = schedule;
+      options.containment.budget.hom_step_budget = 5000;
+      ContainmentEngine sparse_engine(world, options);
+      ContainmentEngine dense_engine(world, options);
+      for (const ConjunctiveQuery& q : queries) {
+        ASSERT_TRUE(sparse_engine.AddQuery(q).ok());
+        ASSERT_TRUE(dense_engine.AddQuery(q).ok());
+      }
+      Result<SparseVerdicts> sparse = sparse_engine.CheckAllSparse();
+      Result<std::vector<std::vector<PairVerdict>>> dense =
+          dense_engine.CheckAll();
+      ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+      ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+
+      for (const ContainmentEngine* engine : {&sparse_engine, &dense_engine}) {
+        const BatchStats& stats = engine->stats();
+        EXPECT_EQ(stats.pairs_checked, n * (n - 1));
+        EXPECT_EQ(stats.pruned_pairs + stats.chase_requests,
+                  stats.pairs_checked);
+        EXPECT_GE(double(stats.pruned_pairs),
+                  0.85 * double(stats.pairs_checked));
+        EXPECT_EQ(stats.unknown_pairs, 1u);
+      }
+      ASSERT_EQ(sparse->pairs.size(), sparse->verdicts.size());
+      EXPECT_EQ(sparse->pairs.size(),
+                n * (n - 1) - sparse_engine.stats().pruned_pairs);
+      EXPECT_TRUE(std::is_sorted(sparse->pairs.begin(), sparse->pairs.end()));
+
+      // Expand the survivors: every unlisted off-diagonal cell is pruned.
+      std::vector<std::vector<PairVerdict>> expanded(
+          n, std::vector<PairVerdict>(n));
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) expanded[i][j].pruned = i != j;
+      }
+      for (size_t s = 0; s < sparse->pairs.size(); ++s) {
+        const auto& [i, j] = sparse->pairs[s];
+        ASSERT_NE(i, j);
+        EXPECT_FALSE(sparse->verdicts[s].pruned);
+        expanded[i][j] = sparse->verdicts[s];
+      }
+      if (reference.empty()) reference = expanded;
+      size_t dense_mismatches = 0;
+      size_t config_mismatches = 0;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          if (!SameVerdict(expanded[i][j], (*dense)[i][j])) ++dense_mismatches;
+          if (!SameVerdict(expanded[i][j], reference[i][j])) {
+            ++config_mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(dense_mismatches, 0u);
+      EXPECT_EQ(config_mismatches, 0u);
+
+      // The one budget-tripped pair, on both paths.
+      EXPECT_EQ((*dense)[0][1].resolution, Resolution::kUnknown);
+      EXPECT_EQ((*dense)[0][1].unknown_reason, TripReason::kHomStepBudget);
+      EXPECT_EQ(expanded[0][1].resolution, Resolution::kUnknown);
+    }
+  }
+}
+
+TEST(SparseEngineTest, ClassifyQueriesMatchesTaxonomyOverCheckAll) {
+  World world;
+  const std::vector<ConjunctiveQuery> queries = SparseBooleanMix(world);
+  const size_t n = queries.size();
+  BatchContainmentOptions options;
+  options.jobs = 4;
+  options.containment.budget.hom_step_budget = 5000;
+
+  Result<QueryTaxonomy> classified = ClassifyQueries(world, queries, options);
+  ASSERT_TRUE(classified.ok()) << classified.status().ToString();
+
+  ContainmentEngine engine(world, options);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(engine.AddQuery(q).ok());
+  }
+  Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
+  ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+  std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
+  int unknown = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      contained[i][j] = i == j || (*matrix)[i][j].contained;
+      if ((*matrix)[i][j].resolution == Resolution::kUnknown) ++unknown;
+    }
+  }
+  const BatchStats& stats = engine.stats();
+  const QueryTaxonomy expected = TaxonomyFromContainment(
+      contained, int(stats.pairs_checked - stats.pruned_pairs), unknown,
+      int(stats.pruned_pairs));
+
+  EXPECT_EQ(classified->class_of, expected.class_of);
+  EXPECT_EQ(classified->classes, expected.classes);
+  EXPECT_EQ(classified->hasse_edges, expected.hasse_edges);
+  EXPECT_EQ(classified->contains, expected.contains);
+  EXPECT_EQ(classified->checks, expected.checks);
+  EXPECT_EQ(classified->pruned_checks, expected.pruned_checks);
+  EXPECT_EQ(classified->unknown_checks, 1);
+  EXPECT_EQ(expected.unknown_checks, 1);
+}
+
+// Cross-arity pairs are not contained and never checked: they are neither
+// survivors nor pruned, so a mixed-arity registry classifies instead of
+// failing. An explicit cross-arity pair is still an error.
+TEST(SparseEngineTest, AllPairsSkipCrossArityPairs) {
+  World world;
+  ContainmentEngine engine(world);
+  ASSERT_TRUE(engine.AddQuery(Q(world, "a(X) :- member(X, c0).")).ok());
+  ASSERT_TRUE(engine.AddQuery(Q(world, "b() :- member(X, c0).")).ok());
+  ASSERT_TRUE(
+      engine.AddQuery(Q(world, "c(X) :- member(X, c0), member(X, c1).")).ok());
+
+  Result<SparseVerdicts> sparse = engine.CheckAllSparse();
+  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  for (const auto& [lhs, rhs] : sparse->pairs) {
+    EXPECT_NE(lhs, 1u);
+    EXPECT_NE(rhs, 1u);
+  }
+  EXPECT_EQ(engine.stats().pairs_checked, 2u);
+  EXPECT_EQ(engine.stats().pruned_pairs + engine.stats().chase_requests, 2u);
+
+  Result<std::vector<std::vector<PairVerdict>>> matrix = engine.CheckAll();
+  ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+  for (auto [i, j] : {std::pair{0, 1}, {1, 0}, {1, 2}, {2, 1}}) {
+    const PairVerdict& cell = (*matrix)[size_t(i)][size_t(j)];
+    EXPECT_FALSE(cell.contained) << i << " ⊆ " << j;
+    EXPECT_FALSE(cell.pruned) << i << " ⊆ " << j;
+    EXPECT_EQ(cell.resolution, Resolution::kNotContained);
+  }
+  EXPECT_TRUE((*matrix)[2][0].contained);
+  EXPECT_FALSE((*matrix)[0][2].contained);
+
+  std::vector<std::pair<size_t, size_t>> bad_arity = {{0, 1}};
+  EXPECT_FALSE(engine.CheckPairs(bad_arity).ok());
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "chase/graph_dot.h"
 #include "containment/classifier.h"
 #include "containment/containment.h"
@@ -81,14 +85,28 @@ TEST(ClassifierTest, TaxonomyRendering) {
   EXPECT_NE(rendered.find("wide\n  narrow"), std::string::npos) << rendered;
 }
 
-TEST(ClassifierTest, ArityMismatchIsError) {
+TEST(ClassifierTest, MixedAritiesAreNeverContained) {
   World world;
   std::vector<ConjunctiveQuery> queries = {
       Q(world, "a(X) :- member(X, c0)."),
       Q(world, "b(X, Y) :- data(X, a0, Y)."),
+      Q(world, "c(X) :- member(X, c0), member(X, c1)."),
+      Q(world, "d(X, Y) :- data(X, a0, Y), member(X, c0)."),
   };
   Result<QueryTaxonomy> taxonomy = ClassifyQueries(world, queries);
-  EXPECT_FALSE(taxonomy.ok());
+  ASSERT_TRUE(taxonomy.ok()) << taxonomy.status().ToString();
+  // Only c ⊂ a and d ⊂ b: no edge ever crosses arities.
+  EXPECT_EQ(taxonomy->classes.size(), 4u);
+  std::vector<std::pair<int, int>> expected = {
+      {taxonomy->class_of[2], taxonomy->class_of[0]},
+      {taxonomy->class_of[3], taxonomy->class_of[1]}};
+  std::vector<std::pair<int, int>> edges = taxonomy->hasse_edges;
+  std::sort(edges.begin(), edges.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(edges, expected);
+  // The cross-arity pairs are neither checked nor pruned: 2 + 2 ordered
+  // same-arity pairs in total.
+  EXPECT_EQ(taxonomy->checks + taxonomy->pruned_checks, 4);
 }
 
 // ---- explanations ------------------------------------------------------------

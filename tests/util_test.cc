@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -261,6 +262,44 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
               [&hits](size_t i) { hits[i].fetch_add(1); });
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, ChunkedParallelForRunsEachIndexExactlyOnce) {
+  ThreadPool pool(4);
+  for (size_t count : {size_t{0}, size_t{1}, pool.size() - 1, size_t{100000},
+                       size_t{100003}}) {
+    std::vector<std::atomic<int>> hits(count);
+    ParallelFor(pool, count, [&hits](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "count " << count << ", index " << i;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ChunkedParallelForReusesThePool) {
+  ThreadPool pool(3);
+  std::atomic<size_t> sum{0};
+  for (size_t round = 1; round <= 20; ++round) {
+    ParallelFor(pool, 1000 * round,
+                [&sum](size_t i) { sum.fetch_add(i + 1); });
+    const size_t n = 1000 * round;
+    ASSERT_EQ(sum.exchange(0), n * (n + 1) / 2) << "round " << round;
+  }
+  // Plain submissions still run after the chunked calls.
+  std::atomic<int> counter{0};
+  pool.Submit([&counter] { counter.fetch_add(1); });
+  pool.Wait();
+  EXPECT_EQ(counter.load(), 1);
+}
+
+TEST(ThreadPoolTest, ChunkedParallelForQueuesAtMostOneTaskPerWorker) {
+  ThreadPool pool(4);
+  for (size_t count : {size_t{0}, size_t{2}, size_t{4}, size_t{100000}}) {
+    const size_t before = pool.submitted();
+    ParallelFor(pool, count, [](size_t) {});
+    EXPECT_EQ(pool.submitted() - before, std::min(count, pool.size()))
+        << "count " << count;
   }
 }
 
