@@ -115,7 +115,7 @@ void MakeWorkload(const CorpusConfig& config, Workload& w) {
 // configuration `--timeout-ms` produces, minus any chance of tripping.
 RunMetrics OnePass(const Workload& workload, const CorpusConfig& config,
                    bool governed, const CancellationToken& token) {
-  ExecGovernor governor(Deadline::AfterMillis(3'600'000), token);
+  ExecGovernor governor(Deadline::AfterMillis(3'600'000), &token);
   MatchOptions options;
   if (governed) options.governor = &governor;
 

@@ -655,20 +655,23 @@ const ChaseResult& ResumableChase::EnsureLevel(int level,
     started_ = true;
     return engine_->result();
   }
-  ChaseOutcome outcome = engine_->result().outcome();
-  if (outcome != ChaseOutcome::kInterrupted &&
-      (level <= engine_->level_cap() ||
-       outcome != ChaseOutcome::kLevelCapped)) {
-    // Already materialized deep enough, or nothing deeper exists
-    // (completed) or can be computed (failed / budget): const read. An
-    // interrupted chase never takes this path — its materialization is
-    // incomplete even at the current cap, so it always resumes.
-    return engine_->result();
-  }
+  if (Covers(level)) return engine_->result();
   FLOQ_CHECK(!frozen_);  // immutability contract: no deepening when shared
   engine_->Deepen(level, governor);
   ++deepen_count_;
   return engine_->result();
+}
+
+bool ResumableChase::Covers(int level) const {
+  if (!started_) return false;
+  // Already materialized deep enough, or nothing deeper exists
+  // (completed) or can be computed (failed / budget). An interrupted
+  // chase is never covered — its materialization is incomplete even at
+  // the current cap, so it always resumes.
+  const ChaseOutcome outcome = engine_->result().outcome();
+  return outcome != ChaseOutcome::kInterrupted &&
+         (level <= engine_->level_cap() ||
+          outcome != ChaseOutcome::kLevelCapped);
 }
 
 const ChaseResult& ResumableChase::result() const {

@@ -217,6 +217,11 @@ class ResumableChase {
   /// True once EnsureLevel has run the initial chase.
   bool started() const { return started_; }
 
+  /// True when EnsureLevel(level) would be a const read: the chase has
+  /// started, is not interrupted, and is materialized at least to `level`
+  /// or can go no deeper (completed, failed, or out of atom budget).
+  bool Covers(int level) const;
+
   /// The level cap the engine has materialized to so far (meaningful only
   /// after the first EnsureLevel).
   int level_cap() const;

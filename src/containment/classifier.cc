@@ -1,7 +1,11 @@
 #include "containment/classifier.h"
 
+#include <algorithm>
 #include <functional>
+#include <ranges>
+#include <utility>
 
+#include "util/check.h"
 #include "util/strings.h"
 
 namespace floq {
@@ -28,74 +32,98 @@ Result<QueryTaxonomy> ClassifyQueries(
   Result<SparseVerdicts> sparse = engine.CheckAllSparse();
   if (!sparse.ok()) return sparse.status();
 
+  // An UNKNOWN verdict (resource trip) counts as not-contained here: the
+  // taxonomy only merges or orders classes on *proven* containments, so
+  // trips can hide structure but never fabricate it.
   int unknown_checks = 0;
-  std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
-  for (size_t i = 0; i < n; ++i) contained[i][i] = true;
+  std::vector<std::pair<size_t, size_t>> contained;
   for (size_t s = 0; s < sparse->pairs.size(); ++s) {
-    const auto& [i, j] = sparse->pairs[s];
     const PairVerdict& verdict = sparse->verdicts[s];
-    // An UNKNOWN verdict (resource trip) counts as not-contained here:
-    // the taxonomy only merges or orders classes on *proven*
-    // containments, so trips can hide structure but never fabricate it.
-    contained[i][j] = verdict.contained;
+    if (verdict.contained) contained.push_back(sparse->pairs[s]);
     if (verdict.resolution == Resolution::kUnknown) ++unknown_checks;
   }
   const BatchStats& stats = engine.stats();
-  return TaxonomyFromContainment(
-      contained, int(stats.pairs_checked - stats.pruned_pairs),
+  return TaxonomyFromEdges(
+      n, std::move(contained), int(stats.pairs_checked - stats.pruned_pairs),
       unknown_checks, int(stats.pruned_pairs));
 }
 
-QueryTaxonomy TaxonomyFromContainment(
-    const std::vector<std::vector<bool>>& contained, int checks,
-    int unknown_checks, int pruned_checks) {
-  const size_t n = contained.size();
+QueryTaxonomy TaxonomyFromEdges(size_t n,
+                                std::vector<std::pair<size_t, size_t>> edges,
+                                int checks, int unknown_checks,
+                                int pruned_checks) {
   QueryTaxonomy taxonomy;
   taxonomy.class_of.assign(n, -1);
   taxonomy.checks = checks;
   taxonomy.unknown_checks = unknown_checks;
   taxonomy.pruned_checks = pruned_checks;
-  if (n == 0) return taxonomy;
+  // Sorted, so each query's out-list is one ascending run.
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  for (const auto& [i, j] : edges) FLOQ_CHECK(i < n && j < n);
+  auto out = [&](size_t i) {
+    const auto first = std::lower_bound(edges.begin(), edges.end(),
+                                        std::pair{i, size_t{0}});
+    const auto last = std::lower_bound(first, edges.end(),
+                                       std::pair{i + 1, size_t{0}});
+    return std::ranges::subrange(first, last);
+  };
 
-  // Equivalence classes: mutual containment.
+  // Equivalence classes: mutual containment, numbered by first member.
   for (size_t i = 0; i < n; ++i) {
     if (taxonomy.class_of[i] >= 0) continue;
-    int cls = int(taxonomy.classes.size());
+    const int cls = int(taxonomy.classes.size());
     taxonomy.classes.push_back({i});
     taxonomy.class_of[i] = cls;
-    for (size_t j = i + 1; j < n; ++j) {
-      if (taxonomy.class_of[j] < 0 && contained[i][j] && contained[j][i]) {
+    for (const auto& [_, j] : out(i)) {
+      if (j > i && taxonomy.class_of[j] < 0 &&
+          std::binary_search(edges.begin(), edges.end(), std::pair{j, i})) {
         taxonomy.class_of[j] = cls;
-        taxonomy.classes[cls].push_back(j);
+        taxonomy.classes[size_t(cls)].push_back(j);
       }
     }
   }
 
-  // Strict containment between classes (via representatives).
+  // Strict containment between classes, read off the representatives'
+  // out-lists. Representatives ascend with their class numbers, so each
+  // successor list comes out sorted.
   const size_t m = taxonomy.classes.size();
   taxonomy.contains.assign(m, std::vector<bool>(m, false));
+  std::vector<std::vector<int>> succ(m);
   for (size_t a = 0; a < m; ++a) {
-    for (size_t b = 0; b < m; ++b) {
-      if (a == b) continue;
-      size_t i = taxonomy.classes[a][0];
-      size_t j = taxonomy.classes[b][0];
-      taxonomy.contains[a][b] = contained[i][j];
+    for (const auto& [_, j] : out(taxonomy.classes[a][0])) {
+      const int b = taxonomy.class_of[j];
+      if (size_t(b) == a || taxonomy.classes[size_t(b)][0] != j) continue;
+      taxonomy.contains[a][size_t(b)] = true;
+      succ[a].push_back(b);
     }
   }
 
-  // Hasse reduction: keep (a, b) with nothing strictly between.
+  // Hasse reduction: keep (a, b) with nothing strictly between. Any class
+  // between a and b is itself a successor of a.
   for (size_t a = 0; a < m; ++a) {
-    for (size_t b = 0; b < m; ++b) {
-      if (!taxonomy.contains[a][b]) continue;
-      bool direct = true;
-      for (size_t c = 0; c < m && direct; ++c) {
-        if (c == a || c == b) continue;
-        direct = !(taxonomy.contains[a][c] && taxonomy.contains[c][b]);
+    for (int b : succ[a]) {
+      if (std::none_of(succ[a].begin(), succ[a].end(), [&](int c) {
+            return taxonomy.contains[size_t(c)][size_t(b)];
+          })) {
+        taxonomy.hasse_edges.emplace_back(int(a), b);
       }
-      if (direct) taxonomy.hasse_edges.emplace_back(int(a), int(b));
     }
   }
   return taxonomy;
+}
+
+QueryTaxonomy TaxonomyFromContainment(
+    const std::vector<std::vector<bool>>& contained, int checks,
+    int unknown_checks, int pruned_checks) {
+  std::vector<std::pair<size_t, size_t>> edges;
+  for (size_t i = 0; i < contained.size(); ++i) {
+    for (size_t j = 0; j < contained[i].size(); ++j) {
+      if (contained[i][j]) edges.emplace_back(i, j);
+    }
+  }
+  return TaxonomyFromEdges(contained.size(), std::move(edges), checks,
+                           unknown_checks, pruned_checks);
 }
 
 Result<QueryTaxonomy> ClassifyQueries(

@@ -53,9 +53,18 @@ struct QueryTaxonomy {
 };
 
 /// Builds the taxonomy (equivalence classes, strict containment, Hasse
-/// diagram) from a reflexive pairwise containment matrix; `checks`,
-/// `unknown_checks` and `pruned_checks` seed the counters. Shared by the
-/// one-shot classifier below and the incremental ContainmentIndex.
+/// diagram) of queries 0..n-1 from their proven containments: `contained`
+/// lists the ordered pairs (i, j) with query i ⊆ query j, in any order
+/// (duplicates and reflexive pairs are ignored). `checks`,
+/// `unknown_checks` and `pruned_checks` seed the counters. The work is
+/// proportional to the edges, apart from the m x m `contains` output.
+/// Shared by the one-shot classifier below and the incremental
+/// ContainmentIndex.
+QueryTaxonomy TaxonomyFromEdges(
+    size_t n, std::vector<std::pair<size_t, size_t>> contained, int checks,
+    int unknown_checks, int pruned_checks);
+
+/// TaxonomyFromEdges over the true cells of a square containment matrix.
 QueryTaxonomy TaxonomyFromContainment(
     const std::vector<std::vector<bool>>& contained, int checks,
     int unknown_checks, int pruned_checks);

@@ -86,7 +86,7 @@ Result<ContainmentResult> CheckContainment(World& world,
   // and per stage instead; see engine.cc.)
   const bool governed = !options.budget.unlimited();
   Deadline anchored = AnchorDeadline(options.budget);
-  ExecGovernor chase_governor(anchored, options.budget.cancel);
+  ExecGovernor chase_governor(anchored, &options.budget.cancel);
 
   ChaseOptions chase_options;
   chase_options.max_level = level_bound;
@@ -139,7 +139,7 @@ Result<ContainmentResult> CheckContainment(World& world,
   // block-compressed frozen tier so the search leapfrogs compressed
   // blocks instead of plain vectors.
   result.chase.FreezeConjuncts();
-  ExecGovernor hom_governor(anchored, options.budget.cancel,
+  ExecGovernor hom_governor(anchored, &options.budget.cancel,
                             options.budget.hom_step_budget);
   MatchOptions match = options.match;
   if (governed && match.governor == nullptr) match.governor = &hom_governor;
@@ -237,7 +237,7 @@ Result<std::optional<size_t>> CheckUcqContainment(
   // trips surface as typed errors here.
   const bool governed = !options.budget.unlimited();
   Deadline anchored = AnchorDeadline(options.budget);
-  ExecGovernor chase_governor(anchored, options.budget.cancel);
+  ExecGovernor chase_governor(anchored, &options.budget.cancel);
 
   ChaseOptions chase_options;
   chase_options.max_level = level_bound;
@@ -263,7 +263,7 @@ Result<std::optional<size_t>> CheckUcqContainment(
   // All disjunct searches draw on one governor: the hom budget spans the
   // whole stage, not each disjunct.
   chase.FreezeConjuncts();
-  ExecGovernor hom_governor(anchored, options.budget.cancel,
+  ExecGovernor hom_governor(anchored, &options.budget.cancel,
                             options.budget.hom_step_budget);
   MatchOptions match = options.match;
   if (governed && match.governor == nullptr) match.governor = &hom_governor;
@@ -314,7 +314,7 @@ Result<ContainmentResult> CheckContainmentUnderDependencies(
 
   const bool governed = !options.budget.unlimited();
   Deadline anchored = AnchorDeadline(options.budget);
-  ExecGovernor chase_governor(anchored, options.budget.cancel);
+  ExecGovernor chase_governor(anchored, &options.budget.cancel);
   if (governed) chase_options.governor = &chase_governor;
 
   ContainmentResult result;
@@ -341,7 +341,7 @@ Result<ContainmentResult> CheckContainmentUnderDependencies(
   }
 
   result.chase.FreezeConjuncts();
-  ExecGovernor hom_governor(anchored, options.budget.cancel,
+  ExecGovernor hom_governor(anchored, &options.budget.cancel,
                             options.budget.hom_step_budget);
   MatchOptions match = options.match;
   if (governed && match.governor == nullptr) match.governor = &hom_governor;

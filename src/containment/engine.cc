@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <optional>
+#include <utility>
 
 #include "analysis/cost_model.h"
 #include "containment/homomorphism.h"
@@ -74,8 +76,10 @@ Result<size_t> ContainmentEngine::AddQuery(const ConjunctiveQuery& query) {
     // extrapolation).
     ChaseOptions chase_options;
     chase_options.max_atoms = copts.max_chase_atoms;
+    // The governor borrows the token, so it must outlive the governor.
+    const CancellationToken engine_token = cancel_source_.token();
     ExecGovernor governor = MakeChaseGovernor(copts.budget);
-    governor.AddCancellation(cancel_source_.token());
+    governor.AddCancellation(&engine_token);
     const int probe_level = copts.depth == ChaseDepth::kLevelZero
                                 ? 0
                                 : std::max(copts.signature_probe_levels, 0);
@@ -164,15 +168,16 @@ void ContainmentEngine::Cancel() { cancel_source_.Cancel(); }
 
 void ContainmentEngine::ResetCancel() { cancel_source_.Reset(); }
 
-template <class ForEachCandidate>
-Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
+template <class ForEachInSlice>
+Status ContainmentEngine::CheckPairsCore(size_t slices,
+                                         ForEachInSlice&& for_each_in_slice,
                                          SparseVerdicts& out,
                                          std::vector<size_t>* positions) {
   const ContainmentOptions& copts = options_.containment;
   const ResourceBudget& budget = copts.budget;
-  // Snapshot the token once: worker threads copy it concurrently below,
-  // and ResetCancel (which swaps the shared flag) is only legal between
-  // batches.
+  // Governors borrow this snapshot: copying the token per pair would
+  // bounce its reference count between workers. ResetCancel (which swaps
+  // the source's flag) is only legal between batches.
   const CancellationToken engine_token = cancel_source_.token();
   const size_t num_queries = entries_.size();
 
@@ -182,17 +187,34 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
   // cumulative across batches).
   const BatchStats stats_before = stats_;
 
+  // One pool per batch, created on first use and shared by stage 0 and the
+  // hom fan-out; jobs=1 runs everything inline on the calling thread.
+  const size_t jobs = options_.jobs == 0 ? ThreadPool::DefaultThreads()
+                                         : size_t(options_.jobs);
+  std::optional<ThreadPool> pool;
+  auto parallel_for = [&](size_t count,
+                          const std::function<void(size_t)>& fn) {
+    if (jobs > 1 && count > 1) {
+      if (!pool.has_value()) pool.emplace(std::min(jobs, count));
+      return ParallelFor(*pool, count, fn);
+    }
+    for (size_t i = 0; i < count; ++i) fn(i);
+  };
+
   // ---- stage 0: signature prefilter, emitting the survivor list ---------
   //
   // A failed subset test (signature.h) is a sound definite kNotContained:
   // the pair skips both expensive stages entirely and never enters the
   // survivor list, so every later phase — schedule, chase, fan-out,
-  // accounting — iterates only the survivors. One governor covers the
-  // whole stage — each test is a few word ops, so per-pair re-anchoring
-  // would cost more than the work it guards. Once the governor trips,
-  // pruning STOPS and every remaining pair survives into the governed
-  // chase/hom stages, which degrade it to kUnknown: a tripped stage-0
-  // deadline must never manufacture a definite verdict.
+  // accounting — iterates only the survivors. Slices run in parallel, in
+  // a count pass and then a fill pass that writes each slice's survivors
+  // at its offset in the exactly-sized out.pairs. Each count pass has its
+  // own governor over the stage's one anchored deadline. Once it trips,
+  // pruning STOPS for the rest of the slice and every remaining pair
+  // survives into the governed chase/hom stages, which degrade it to
+  // kUnknown: a tripped stage-0 deadline must never manufacture a
+  // definite verdict. The fill pass prunes only among the `tested`
+  // leading candidates, replaying the count pass.
   const bool filter = copts.use_signature_index;
   std::optional<TraceSpan> sig_span;
   if (filter) {
@@ -200,53 +222,99 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
     AnnotateWithRequest(*sig_span);
   }
   const SteadyClock::time_point sig_start = SteadyClock::now();
-  ExecGovernor sig_governor = MakeChaseGovernor(budget);
-  sig_governor.AddCancellation(engine_token);
-  // Dense signature pointers: one pointer chase per query instead of two
-  // per pair.
-  std::vector<const ClosureSignature*> sigs(filter ? num_queries : 0,
-                                            nullptr);
-  for (size_t i = 0; i < sigs.size(); ++i) {
-    if (entries_[i]->signature.has_value()) sigs[i] = &*entries_[i]->signature;
+  const Deadline sig_deadline = AnchorDeadline(budget);
+  // Dense per-query keys holding MayContain's two cheapest tests — the
+  // constant Bloom masks and the first predicate word — so most pairs are
+  // settled from one contiguous array; the rest take MayContain itself.
+  struct SignatureKey {
+    const ClosureSignature* sig = nullptr;
+    bool prunable = false;  // may discharge pairs with this query on the left
+    uint64_t closure_constants = 0, closure_predicates = 0;  // as lhs
+    uint64_t constants = 0, predicates = 0;                  // as rhs
+  };
+  std::vector<SignatureKey> keys(filter ? num_queries : 0);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (!entries_[i]->signature.has_value()) continue;
+    const ClosureSignature& sig = *entries_[i]->signature;
+    keys[i] = {&sig, sig.prunable, sig.closure_constant_mask,
+               sig.closure_predicates.word(0), sig.base.constant_mask,
+               sig.base.predicates.word(0)};
   }
+  auto discharged = [&](size_t lhs, size_t rhs) {
+    const SignatureKey& l = keys[lhs];
+    const SignatureKey& r = keys[rhs];
+    if (!l.prunable || r.sig == nullptr) return false;
+    return ((r.constants & ~l.closure_constants) |
+            (r.predicates & ~l.closure_predicates)) != 0 ||
+           !MayContain(*l.sig, r.sig->base);
+  };
+  // Per-slice counts; the prefix sum below turns `candidates` and
+  // `survivors` into the slice's first candidate ordinal and output index.
+  struct SliceCount {
+    size_t candidates = 0, survivors = 0, tested = 0;
+  };
+  std::vector<SliceCount> counts(slices);
+  parallel_for(slices, [&](size_t r) {
+    ExecGovernor governor(sig_deadline, &budget.cancel);
+    governor.AddCancellation(&engine_token);
+    bool pruning = filter;
+    SliceCount count;  // local: neighbouring slices share cache lines
+    for_each_in_slice(r, [&](size_t lhs, size_t rhs) {
+      // A subset test is a few word ops; polling the governor every pair
+      // would double the stage's cost. A 64-pair stride still bounds the
+      // deadline overshoot to a couple of microseconds — and each slice's
+      // first pair is polled, so an already-tripped budget prunes nothing.
+      if (pruning && (count.candidates & 63) == 0 && !governor.CheckNow()) {
+        pruning = false;
+      }
+      count.tested += pruning;
+      count.survivors += !(pruning && discharged(lhs, rhs));
+      ++count.candidates;
+    });
+    counts[r] = count;
+    if (filter) FoldGovernorMetrics(governor);
+  });
+  size_t candidates = 0;
+  size_t survivors = 0;
+  for (SliceCount& count : counts) {
+    candidates += std::exchange(count.candidates, candidates);
+    survivors += std::exchange(count.survivors, survivors);
+  }
+  // Verdicts before pairs: in repeated batches glibc then reuses the same
+  // heap slots for both; the other order cost ~8 MB of peak RSS.
+  std::vector<PairVerdict>& verdicts = out.verdicts;
+  verdicts.assign(survivors, PairVerdict{});
   std::vector<std::pair<size_t, size_t>>& pairs = out.pairs;
-  bool pruning = filter;
-  uint64_t candidates = 0;
-  uint64_t pruned_here = 0;
-  for_each_candidate([&](size_t lhs, size_t rhs) {
-    const uint64_t k = candidates++;
-    // A subset test is a few word ops; polling the governor every pair
-    // would double the stage's cost. A 64-pair stride still bounds the
-    // deadline overshoot to a couple of microseconds — and k == 0 is
-    // polled, so an already-tripped budget prunes nothing.
-    if (pruning && (k & 63) == 0 && !sig_governor.CheckNow()) {
-      pruning = false;
-    }
-    if (pruning && sigs[lhs] != nullptr && sigs[rhs] != nullptr &&
-        !MayContain(*sigs[lhs], sigs[rhs]->base)) {
-      ++pruned_here;
-      return;
-    }
-    pairs.emplace_back(lhs, rhs);
-    if (positions != nullptr) positions->push_back(size_t(k));
+  pairs.resize(survivors);
+  if (positions != nullptr) positions->resize(survivors);
+  parallel_for(slices, [&](size_t r) {
+    const SliceCount& count = counts[r];
+    size_t next = count.survivors;
+    size_t k = 0;
+    for_each_in_slice(r, [&](size_t lhs, size_t rhs) {
+      const size_t ordinal = k++;
+      if (ordinal < count.tested && discharged(lhs, rhs)) return;
+      pairs[next] = {lhs, rhs};
+      if (positions != nullptr) (*positions)[next] = count.candidates + ordinal;
+      ++next;
+    });
   });
   if (filter) {
-    FoldGovernorMetrics(sig_governor);
-    stats_.pruned_pairs += pruned_here;
+    stats_.pruned_pairs += candidates - survivors;
     stats_.signature_us += MsSince(sig_start) * 1000.0;
     if (sig_span->active()) {
       sig_span->Arg("pairs", int64_t(candidates))
-          .Arg("pruned", int64_t(pruned_here));
+          .Arg("pruned", int64_t(candidates - survivors));
     }
     sig_span.reset();
   }
   if (batch_span.active()) {
     batch_span.Arg("pairs", int64_t(candidates));
   }
-  const size_t survivors = pairs.size();
-  std::vector<PairVerdict>& verdicts = out.verdicts;
-  verdicts.assign(survivors, PairVerdict{});
-  std::vector<uint8_t> needs_search(survivors, 0);
+  // Per-survivor phase flags.
+  constexpr uint8_t kNeedsSearch = 1;  // the hom phase searches this pair
+  constexpr uint8_t kChaseTimed = 2;   // its chase stage ran governed, timed
+  std::vector<uint8_t> phase(survivors, 0);
   // Why this pair's chase prefix cannot refute containment (kNone when it
   // can): consumed by the hom phase to settle negatives.
   std::vector<TripReason> chase_trips(survivors, TripReason::kNone);
@@ -258,9 +326,9 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
   // (analysis/cost_model.h): cheap verdicts land first, and a runaway
   // pair's budget trip cannot starve them. The estimate never touches a
   // verdict — only the visit order and (below) the hom step budget, which
-  // calibration can only raise.
-  std::vector<size_t> order(survivors);
-  std::iota(order.begin(), order.end(), size_t{0});
+  // calibration can only raise. Unscheduled batches leave `order` empty
+  // and visit the survivors in list order.
+  std::vector<size_t> order;
   std::vector<double> pair_cost;
   double mean_cost = 0.0;
   if (copts.use_cost_scheduling && survivors > 0) {
@@ -287,6 +355,8 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
       ++costed;
     }
     if (costed > 0) mean_cost /= double(costed);
+    order.resize(survivors);
+    std::iota(order.begin(), order.end(), size_t{0});
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
       return pair_cost[a] < pair_cost[b];
     });
@@ -297,17 +367,51 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
   //
   // Everything that mutates the World (fresh nulls for chase steps) or a
   // cache entry happens here, on the calling thread. The workers below
-  // only read. Each pair gets its own governor with a freshly anchored
-  // timeout (per-pair isolation): a runaway chase trips its own deadline,
-  // and the next pair starts with a full budget again.
+  // only read. Each pair with chase work to do gets its own governor with
+  // a freshly anchored timeout (per-pair isolation): a runaway chase trips
+  // its own deadline, and the next pair starts with a full budget again.
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
+  // Settles a pair whose lhs chase is materialized.
+  auto settle = [&](size_t s, const ChaseResult& chase, TripReason trip) {
+    if (chase.failed()) {
+      // lhs has no answers on any database satisfying Sigma_FL: contained
+      // in every query of the same arity, no search needed.
+      MarkPairContained(verdicts[s]);
+      verdicts[s].lhs_unsatisfiable = true;
+      return;
+    }
+    // A truncated prefix (atom budget, or this pair's chase deadline) is
+    // still worth searching: a homomorphism into it is a sound positive,
+    // and the hom stage anchors its own fresh timeout slice.
+    chase_trips[s] = trip;
+    phase[s] |= kNeedsSearch;
+  };
   for (size_t ord = 0; ord < survivors; ++ord) {
-    const size_t s = order[ord];
+    const size_t s = order.empty() ? ord : order[ord];
     const auto& [lhs, rhs] = pairs[s];
     Entry& l = *entries_[lhs];
     PairVerdict& verdict = verdicts[s];
     ++stats_.chase_requests;
+    int level = 0;
+    if (copts.depth == ChaseDepth::kPaperBound) {
+      level = copts.level_override >= 0
+                  ? copts.level_override
+                  : PaperLevelBound(l.query, entries_[rhs]->query);
+    }
+    if (copts.depth != ChaseDepth::kNone && l.chase.has_value() &&
+        l.chase->Covers(level) && !engine_token.cancelled() &&
+        !budget.cancel.cancelled() && !budget.deadline.Expired()) {
+      // Cache-hit fast path: EnsureLevel would be a const read, so there
+      // is no chase to govern, time or trace. Cancellation and an expired
+      // absolute deadline take the governed path below, which degrades
+      // the pair exactly as it always has.
+      ++stats_.chase_cache_hits;
+      verdict.level_bound = level;
+      const ChaseResult& chase = l.chase->result();
+      settle(s, chase, ChaseTripReason(chase.outcome(), ExecGovernor()));
+      continue;
+    }
     TraceSpan span("engine.chase_stage");
     AnnotateWithRequest(span);
     if (span.active()) {
@@ -324,25 +428,19 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
       } else {
         ++stats_.chase_cache_hits;
       }
-      needs_search[s] = 1;
+      phase[s] = kNeedsSearch;
       continue;
     }
 
+    phase[s] = kChaseTimed;
     ExecGovernor chase_governor = MakeChaseGovernor(budget);
-    chase_governor.AddCancellation(engine_token);
+    chase_governor.AddCancellation(&engine_token);
     if (!chase_governor.CheckNow()) {
       // Already cancelled (or the absolute deadline has passed) before
       // this pair started: skip its chase entirely.
       FoldGovernorMetrics(chase_governor);
       MarkPairUnknown(verdict, chase_governor.trip());
       continue;
-    }
-
-    int level = 0;
-    if (copts.depth == ChaseDepth::kPaperBound) {
-      level = copts.level_override >= 0
-                  ? copts.level_override
-                  : PaperLevelBound(l.query, entries_[rhs]->query);
     }
     verdict.level_bound = level;
 
@@ -360,23 +458,12 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
       span.Arg("level", int64_t(level))
           .Arg("outcome", ChaseOutcomeName(chase.outcome()));
     }
-
-    if (chase.failed()) {
-      // lhs has no answers on any database satisfying Sigma_FL: contained
-      // in every query of the same arity, no search needed.
-      MarkPairContained(verdict);
-      verdict.lhs_unsatisfiable = true;
-      continue;
-    }
-    chase_trips[s] = ChaseTripReason(chase.outcome(), chase_governor);
-    if (chase_trips[s] == TripReason::kCancelled) {
+    const TripReason trip = ChaseTripReason(chase.outcome(), chase_governor);
+    if (trip == TripReason::kCancelled) {
       MarkPairUnknown(verdict, TripReason::kCancelled);
       continue;
     }
-    // A truncated prefix (atom budget, or this pair's chase deadline) is
-    // still worth searching: a homomorphism into it is a sound positive,
-    // and the hom stage anchors its own fresh timeout slice.
-    needs_search[s] = 1;
+    settle(s, chase, trip);
   }
 
   // Freeze every handle: from here on the chase artifacts are immutable
@@ -396,16 +483,18 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
     // Budget calibration: an expensive-predicted pair gets a raised hom
     // step budget (never lowered — see ResourceBudget::FromEstimate), so
     // step-budget kUnknowns can only decrease relative to the flat knob.
-    ResourceBudget pair_budget = budget;
-    if (copts.use_cost_scheduling && budget.hom_step_budget > 0 &&
-        s < pair_cost.size() && pair_cost[s] > 0.0) {
-      // Runs on worker threads: stats_ is not touched here (the
-      // calibrated-pair count is folded in the post-join accounting loop).
-      pair_budget = ResourceBudget::FromEstimate(budget, pair_cost[s],
-                                                 mean_cost);
-    }
-    ExecGovernor hom_governor = MakeHomGovernor(pair_budget);
-    hom_governor.AddCancellation(engine_token);
+    // Runs on worker threads: stats_ is not touched here (the
+    // calibrated-pair count is folded in the post-join accounting loop).
+    // Only the step budget varies per pair; the budget itself is not
+    // copied on the default, unscheduled path.
+    const uint64_t steps =
+        copts.use_cost_scheduling && s < pair_cost.size()
+            ? ResourceBudget::FromEstimate(budget, pair_cost[s], mean_cost)
+                  .hom_step_budget
+            : budget.hom_step_budget;
+    ExecGovernor hom_governor(AnchorDeadline(budget), &budget.cancel,
+                              steps);
+    hom_governor.AddCancellation(&engine_token);
     if (!hom_governor.CheckNow()) {
       FoldGovernorMetrics(hom_governor);
       MarkPairUnknown(verdict,
@@ -446,7 +535,7 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
     }
   };
   auto run_pair = [&](size_t s) {
-    if (needs_search[s] == 0) return;
+    if ((phase[s] & kNeedsSearch) == 0) return;
     PairVerdict& verdict = verdicts[s];
     verdict.queue_wait_ms = MsSince(fanout_start);
     TraceSpan span("engine.hom_stage");
@@ -466,18 +555,11 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
     }
   };
 
-  size_t jobs = options_.jobs == 0 ? ThreadPool::DefaultThreads()
-                                   : size_t(options_.jobs);
-  jobs = std::min(jobs, survivors);
   // ParallelFor claims indices in ascending chunks, so dispatching through
   // `order` makes workers pick the cheapest-predicted pairs up first.
-  auto run_ordered = [&](size_t ord) { run_pair(order[ord]); };
-  if (jobs <= 1) {
-    for (size_t ord = 0; ord < survivors; ++ord) run_ordered(ord);
-  } else {
-    ThreadPool pool(jobs);
-    ParallelFor(pool, survivors, run_ordered);
-  }
+  parallel_for(survivors, [&](size_t ord) {
+    run_pair(order.empty() ? ord : order[ord]);
+  });
 
   // The fan-out has joined; a later CheckPairs call on this engine may
   // legally deepen the handles again.
@@ -508,16 +590,16 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
     }
     stats_.hom.Accumulate(verdict.hom_stats);
     if (copts.use_cost_scheduling && budget.hom_step_budget > 0 &&
-        needs_search[s] != 0 && s < pair_cost.size() &&
+        (phase[s] & kNeedsSearch) != 0 && s < pair_cost.size() &&
         pair_cost[s] > mean_cost && mean_cost > 0.0) {
       // Mirrors the FromEstimate condition in run_pair_inner (ratio > 1),
       // counted here because workers must not touch stats_.
       ++stats_.budget_calibrated_pairs;
     }
-    if (copts.depth != ChaseDepth::kNone) {
+    if ((phase[s] & kChaseTimed) != 0) {
       stats_.chase_stage.Record(verdict.chase_ms);
     }
-    if (needs_search[s] != 0) {
+    if ((phase[s] & kNeedsSearch) != 0) {
       stats_.hom_stage.Record(verdict.hom_ms);
       stats_.queue_wait.Record(verdict.queue_wait_ms);
     }
@@ -526,10 +608,10 @@ Status ContainmentEngine::CheckPairsCore(ForEachCandidate&& for_each_candidate,
       static Histogram& chase_us = registry.histogram("engine.chase_stage_us");
       static Histogram& hom_us = registry.histogram("engine.hom_stage_us");
       static Histogram& wait_us = registry.histogram("engine.queue_wait_us");
-      if (copts.depth != ChaseDepth::kNone) {
+      if ((phase[s] & kChaseTimed) != 0) {
         chase_us.Record(uint64_t(verdict.chase_ms * 1000.0));
       }
-      if (needs_search[s] != 0) {
+      if ((phase[s] & kNeedsSearch) != 0) {
         hom_us.Record(uint64_t(verdict.hom_ms * 1000.0));
         wait_us.Record(uint64_t(verdict.queue_wait_ms * 1000.0));
       }
@@ -581,11 +663,17 @@ Result<std::vector<PairVerdict>> ContainmentEngine::CheckPairs(
                  arities[lhs], " and ", arities[rhs]));
     }
   }
+  // Stage 0 runs over fixed-size slices of the request.
+  constexpr size_t kSlice = 256;
   SparseVerdicts sparse;
   std::vector<size_t> positions;
   FLOQ_RETURN_IF_ERROR(CheckPairsCore(
-      [&](auto&& visit) {
-        for (const auto& [lhs, rhs] : pairs) visit(lhs, rhs);
+      (pairs.size() + kSlice - 1) / kSlice,
+      [&](size_t slice, auto&& visit) {
+        const size_t end = std::min(pairs.size(), (slice + 1) * kSlice);
+        for (size_t k = slice * kSlice; k < end; ++k) {
+          visit(pairs[k].first, pairs[k].second);
+        }
       },
       sparse, &positions));
   // Every requested pair the core did not return was pruned in stage 0.
@@ -605,12 +693,12 @@ Result<SparseVerdicts> ContainmentEngine::CheckAllSparse() {
   const std::vector<int> arities = Arities();
   const size_t n = arities.size();
   SparseVerdicts sparse;
+  // Stage 0 runs over lhs rows.
   FLOQ_RETURN_IF_ERROR(CheckPairsCore(
-      [&](auto&& visit) {
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t j = 0; j < n; ++j) {
-            if (i != j && arities[i] == arities[j]) visit(i, j);
-          }
+      n,
+      [&](size_t i, auto&& visit) {
+        for (size_t j = 0; j < n; ++j) {
+          if (i != j && arities[i] == arities[j]) visit(i, j);
         }
       },
       sparse, nullptr));

@@ -50,8 +50,9 @@ struct BatchContainmentOptions {
   /// ~2x timeout_ms) and every other pair still gets its full share. The
   /// absolute deadline and cancellation token are shared batch-wide.
   ContainmentOptions containment;
-  /// Worker threads for the homomorphism fan-out. 0 = hardware
-  /// concurrency; 1 = run everything on the calling thread.
+  /// Worker threads for the stage-0 signature filter and the
+  /// homomorphism fan-out. 0 = hardware concurrency; 1 = run everything
+  /// on the calling thread.
   int jobs = 0;
 };
 
@@ -93,7 +94,8 @@ struct BatchStats {
   /// chase_requests). pruned_pairs + chase_requests == pairs checked in
   /// every depth mode when the filter is on.
   uint64_t pruned_pairs = 0;
-  /// Cumulative microseconds spent in the stage-0 signature subset tests
+  /// Cumulative stage-0 wall time in microseconds: both passes of the
+  /// signature subset tests plus sizing the survivor and verdict arrays
   /// (registration-time probe chases are accounted to chases_run).
   double signature_us = 0.0;
   /// Cumulative microseconds spent estimating per-pair costs and sorting
@@ -115,6 +117,9 @@ struct BatchStats {
   /// were cut off mid-flight.
   MatchStats hom_degraded;
   /// Per-stage wall time, decided pairs only (see StageMetrics).
+  /// chase_stage records only pairs whose chase stage ran the governed
+  /// path: a cache hit that needs no deepening is neither governed nor
+  /// timed.
   StageMetrics chase_stage;
   StageMetrics hom_stage;
   /// Delay between the hom fan-out opening and each pair's search actually
@@ -144,7 +149,7 @@ struct PairVerdict {
   /// Search effort of this pair's homomorphism search.
   MatchStats hom_stats;
   /// Wall-clock stage costs for this pair. chase_ms covers the EnsureLevel
-  /// call (near zero on a cache hit that needs no deepening); hom_ms the
+  /// call (zero on a cache hit that needs no deepening); hom_ms the
   /// homomorphism search; queue_wait_ms the delay before a worker picked
   /// the pair up. All zero for stages the pair never reached.
   double chase_ms = 0.0;
@@ -237,14 +242,16 @@ class ContainmentEngine {
  private:
   struct Entry;
 
-  /// The batch pipeline behind CheckPairs and CheckAllSparse.
-  /// `for_each_candidate(visit)` calls visit(lhs, rhs) once per candidate
-  /// pair; stage 0 appends the survivors to `out.pairs` (and, when
-  /// `positions` is non-null, each survivor's candidate ordinal), and every
-  /// later phase iterates only the survivors. Instantiated only in
-  /// engine.cc.
-  template <class ForEachCandidate>
-  Status CheckPairsCore(ForEachCandidate&& for_each_candidate,
+  /// The batch pipeline behind CheckPairs and CheckAllSparse. The
+  /// candidates come in `slices` consecutive slices:
+  /// `for_each_in_slice(r, visit)` calls visit(lhs, rhs) once per candidate
+  /// of slice r, in order, and must be safe to call concurrently for
+  /// different slices. Stage 0 writes the survivors to `out.pairs` in
+  /// candidate order (and, when `positions` is non-null, each survivor's
+  /// candidate ordinal), and every later phase iterates only the
+  /// survivors. Instantiated only in engine.cc.
+  template <class ForEachInSlice>
+  Status CheckPairsCore(size_t slices, ForEachInSlice&& for_each_in_slice,
                         SparseVerdicts& out, std::vector<size_t>* positions);
 
   /// Dense per-query arities, indexed by id.

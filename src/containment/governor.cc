@@ -46,11 +46,11 @@ ResourceBudget ResourceBudget::FromEstimate(const ResourceBudget& base,
 }
 
 ExecGovernor MakeChaseGovernor(const ResourceBudget& budget) {
-  return ExecGovernor(AnchorDeadline(budget), budget.cancel);
+  return ExecGovernor(AnchorDeadline(budget), &budget.cancel);
 }
 
 ExecGovernor MakeHomGovernor(const ResourceBudget& budget) {
-  return ExecGovernor(AnchorDeadline(budget), budget.cancel,
+  return ExecGovernor(AnchorDeadline(budget), &budget.cancel,
                       budget.hom_step_budget);
 }
 

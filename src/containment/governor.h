@@ -73,11 +73,12 @@ struct ResourceBudget {
 Deadline AnchorDeadline(const ResourceBudget& budget);
 
 /// A governor for the chase stage: deadline and cancellation, no step
-/// budget (the chase has its own atom budget in ChaseOptions).
+/// budget (the chase has its own atom budget in ChaseOptions). The
+/// governor borrows budget.cancel, so `budget` must outlive it.
 ExecGovernor MakeChaseGovernor(const ResourceBudget& budget);
 
 /// A governor for the homomorphism-search stage: deadline, cancellation,
-/// and the hom step budget.
+/// and the hom step budget. Borrows budget.cancel like MakeChaseGovernor.
 ExecGovernor MakeHomGovernor(const ResourceBudget& budget);
 
 /// Why a chase left the check inconclusive, or kNone when its prefix is

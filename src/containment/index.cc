@@ -1,5 +1,7 @@
 #include "containment/index.h"
 
+#include <cstddef>
+#include <numeric>
 #include <utility>
 
 #include "util/check.h"
@@ -66,33 +68,34 @@ Result<size_t> ContainmentIndex::Insert(const ConjunctiveQuery& query) {
 
 QueryTaxonomy ContainmentIndex::TaxonomyOf(
     std::span<const size_t> ids) const {
-  const size_t n = ids.size();
-  std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
-  for (size_t i = 0; i < n; ++i) {
-    FLOQ_CHECK_LT(ids[i], size());
-    for (size_t j = 0; j < n; ++j) {
-      contained[i][j] =
-          resolution_[ids[i]][ids[j]] == Resolution::kContained;
+  // position[id] = index of `id` within `ids`, or -1 when not selected.
+  std::vector<ptrdiff_t> position(size(), -1);
+  for (size_t p = 0; p < ids.size(); ++p) {
+    FLOQ_CHECK_LT(ids[p], size());
+    FLOQ_CHECK_EQ(position[ids[p]], -1);  // ids must be distinct
+    position[ids[p]] = ptrdiff_t(p);
+  }
+  // kUnknown counts as not-contained: the taxonomy only merges or orders
+  // classes on proven containments.
+  std::vector<std::pair<size_t, size_t>> contained;
+  for (size_t p = 0; p < ids.size(); ++p) {
+    const std::vector<Resolution>& row = resolution_[ids[p]];
+    for (size_t j = 0; j < row.size(); ++j) {
+      if (row[j] == Resolution::kContained && position[j] >= 0) {
+        contained.emplace_back(p, size_t(position[j]));
+      }
     }
   }
-  return TaxonomyFromContainment(contained, int(stats_.checked_pairs),
-                                 int(stats_.unknown_pairs),
-                                 int(stats_.pruned_pairs));
+  return TaxonomyFromEdges(ids.size(), std::move(contained),
+                           int(stats_.checked_pairs),
+                           int(stats_.unknown_pairs),
+                           int(stats_.pruned_pairs));
 }
 
 QueryTaxonomy ContainmentIndex::Taxonomy() const {
-  const size_t n = size();
-  std::vector<std::vector<bool>> contained(n, std::vector<bool>(n, false));
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      // kUnknown counts as not-contained: the taxonomy only merges or
-      // orders classes on proven containments.
-      contained[i][j] = resolution_[i][j] == Resolution::kContained;
-    }
-  }
-  return TaxonomyFromContainment(contained, int(stats_.checked_pairs),
-                                 int(stats_.unknown_pairs),
-                                 int(stats_.pruned_pairs));
+  std::vector<size_t> ids(size());
+  std::iota(ids.begin(), ids.end(), size_t{0});
+  return TaxonomyOf(ids);
 }
 
 }  // namespace floq

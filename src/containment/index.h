@@ -74,11 +74,12 @@ class ContainmentIndex {
   /// containment checks.
   QueryTaxonomy Taxonomy() const;
 
-  /// Taxonomy restricted to `ids` (dense ids in any order; `class_of` and
-  /// `classes` index into `ids` positionally). Lets a caller that
-  /// tombstones entries — the serve registry, where unregister removes a
-  /// query from the live set but not from the engine — classify just the
-  /// live subset from the maintained matrix, again with no new checks.
+  /// Taxonomy restricted to `ids` (distinct dense ids in any order;
+  /// `class_of` and `classes` index into `ids` positionally). Lets a
+  /// caller that tombstones entries — the serve registry, where unregister
+  /// removes a query from the live set but not from the engine — classify
+  /// just the live subset from the maintained matrix, again with no new
+  /// checks. Costs a scan of the selected rows, not an |ids|^2 matrix.
   QueryTaxonomy TaxonomyOf(std::span<const size_t> ids) const;
 
   const IndexStats& index_stats() const { return stats_; }

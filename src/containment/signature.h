@@ -71,6 +71,8 @@ class PredicateBits {
 
   int Count() const;
   bool Any() const;
+  /// Bits 64w .. 64w+63 (zero past the end).
+  uint64_t word(size_t w) const { return w < words_.size() ? words_[w] : 0; }
 
   friend bool operator==(const PredicateBits& a, const PredicateBits& b) {
     return a.IsSubsetOf(b) && b.IsSubsetOf(a);

@@ -57,7 +57,7 @@ Result<ConsistencyReport> KnowledgeBase::Saturate(
 
   // One governor spans the whole saturation: fixpoint ticks and the
   // between-phase checks below all draw on the same deadline and token.
-  ExecGovernor governor(options.deadline, options.cancel);
+  ExecGovernor governor(options.deadline, &options.cancel);
   bool governed = !options.deadline.infinite() || options.cancel.valid();
   if (governed) eval_options.governor = &governor;
 

@@ -106,7 +106,10 @@ inline const char* TripReasonName(TripReason reason) {
 
 /// Amortized budget enforcement for one logical computation (one hom
 /// search, one chase run). Not thread-safe: each worker owns its
-/// governor; only the CancellationTokens are shared across threads.
+/// governor; only the cancellation flags are shared across threads. The
+/// governor borrows its tokens rather than copying them — a copy would
+/// bump a reference count that every worker shares — so the tokens it is
+/// given must outlive it.
 class ExecGovernor {
  public:
   /// How many Tick() calls share one clock read / flag load. At ~1ns per
@@ -115,16 +118,14 @@ class ExecGovernor {
 
   ExecGovernor() = default;
   explicit ExecGovernor(Deadline deadline,
-                        CancellationToken cancel = CancellationToken(),
+                        const CancellationToken* cancel = nullptr,
                         uint64_t step_budget = 0)
-      : deadline_(deadline),
-        cancel_(std::move(cancel)),
-        step_budget_(step_budget) {}
+      : deadline_(deadline), cancel_(cancel), step_budget_(step_budget) {}
 
   /// A second token slot, so an engine-wide Cancel() composes with a
   /// caller-provided token without allocating a merged source.
-  void AddCancellation(CancellationToken token) {
-    extra_cancel_ = std::move(token);
+  void AddCancellation(const CancellationToken* cancel) {
+    extra_cancel_ = cancel;
   }
 
   /// Counts one unit of work. Returns true to continue, false once any
@@ -174,7 +175,8 @@ class ExecGovernor {
     until_check_ = kStride;
     if (step_budget_ != 0 && steps_ >= step_budget_) {
       trip_ = TripReason::kHomStepBudget;
-    } else if (cancel_.cancelled() || extra_cancel_.cancelled()) {
+    } else if ((cancel_ != nullptr && cancel_->cancelled()) ||
+               (extra_cancel_ != nullptr && extra_cancel_->cancelled())) {
       trip_ = TripReason::kCancelled;
     } else if (deadline_.Expired()) {
       trip_ = TripReason::kDeadlineExceeded;
@@ -183,8 +185,8 @@ class ExecGovernor {
   }
 
   Deadline deadline_;
-  CancellationToken cancel_;
-  CancellationToken extra_cancel_;
+  const CancellationToken* cancel_ = nullptr;  // borrowed, may be null
+  const CancellationToken* extra_cancel_ = nullptr;
   uint64_t step_budget_ = 0;  // 0 = unlimited
   uint64_t steps_ = 0;
   uint32_t until_check_ = kStride;

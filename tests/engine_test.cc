@@ -15,6 +15,7 @@
 #include "containment/containment.h"
 #include "gen/generators.h"
 #include "query/parser.h"
+#include "taxonomy_oracle.h"
 #include "term/atom.h"
 #include "term/term.h"
 #include "term/world.h"
@@ -845,6 +846,97 @@ TEST(GovernedEngineTest, SignatureStageDeadlineDegradesToUnknown) {
   EXPECT_EQ(engine.stats().timed_out_pairs, 1u);
 }
 
+// A warm engine answers most chase stages from the cache without a
+// governor. Cancellation and an expired absolute deadline must still
+// degrade every pair: none may come back definite, not even the pairs
+// whose lhs chase failed (vacuously contained, so no hom search would
+// catch them).
+std::vector<ConjunctiveQuery> WarmCacheMix(World& world) {
+  std::vector<ConjunctiveQuery> queries = {
+      Q(world, "u() :- funct(a, o), data(o, a, one), data(o, a, two)."),
+      Q(world, "s1() :- member(X, C), sub(C, D)."),
+      Q(world, "s0() :- member(X, C)."),
+  };
+  Rng rng(99);
+  gen::RandomQuerySpec spec;
+  spec.arity = 0;
+  spec.variable_pool = 4;
+  spec.constant_pool = 3;
+  spec.constant_probability = 0.3;
+  spec.with_constraints = true;
+  for (int i = 0; i < 40; ++i) {
+    spec.seed = rng.Next();
+    spec.atoms = int(rng.Between(3, 6));
+    queries.push_back(
+        gen::MakeRandomQuery(world, spec, "w" + std::to_string(i)));
+  }
+  return queries;
+}
+
+void ExpectEveryPairUnknown(const SparseVerdicts& sparse, TripReason reason) {
+  ASSERT_FALSE(sparse.pairs.empty());
+  for (size_t s = 0; s < sparse.pairs.size(); ++s) {
+    EXPECT_EQ(sparse.verdicts[s].resolution, Resolution::kUnknown)
+        << sparse.pairs[s].first << " ⊆ " << sparse.pairs[s].second;
+    EXPECT_EQ(sparse.verdicts[s].unknown_reason, reason);
+    EXPECT_FALSE(sparse.verdicts[s].contained);
+  }
+}
+
+TEST(GovernedEngineTest, CachedChaseFastPathStillHonorsCancel) {
+  World world;
+  BatchContainmentOptions options;
+  options.jobs = 2;
+  ContainmentEngine engine(world, options);
+  const std::vector<ConjunctiveQuery> queries = WarmCacheMix(world);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(engine.AddQuery(q).ok());
+  }
+  // Deepen every handle once; the lhs-unsatisfiable pairs are contained.
+  Result<SparseVerdicts> warm = engine.CheckAllSparse();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(engine.stats().unknown_pairs, 0u);
+  size_t unsatisfiable = 0;
+  for (const PairVerdict& verdict : warm->verdicts) {
+    unsatisfiable += verdict.lhs_unsatisfiable;
+  }
+  EXPECT_EQ(unsatisfiable, queries.size() - 1);
+
+  engine.Cancel();
+  Result<SparseVerdicts> cancelled = engine.CheckAllSparse();
+  ASSERT_TRUE(cancelled.ok()) << cancelled.status().ToString();
+  ExpectEveryPairUnknown(*cancelled, TripReason::kCancelled);
+  EXPECT_EQ(cancelled->pairs.size(), queries.size() * (queries.size() - 1));
+}
+
+TEST(GovernedEngineTest, CachedChaseFastPathStillHonorsExpiredDeadline) {
+  World world;
+  const std::vector<ConjunctiveQuery> queries = WarmCacheMix(world);
+  BatchContainmentOptions options;
+  options.jobs = 2;
+  // Far enough out for registration and the warm-up batch, then waited
+  // out: the second batch starts past the absolute deadline.
+  constexpr int64_t kDeadlineMs = 1000;
+  options.containment.budget.deadline = Deadline::AfterMillis(kDeadlineMs);
+  ContainmentEngine engine(world, options);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(engine.AddQuery(q).ok());
+  }
+  Result<SparseVerdicts> warm = engine.CheckAllSparse();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  if (options.containment.budget.deadline.Expired()) {
+    GTEST_SKIP() << "warm-up batch outlived its " << kDeadlineMs
+                 << " ms deadline on this machine";
+  }
+  ASSERT_EQ(engine.stats().unknown_pairs, 0u);
+
+  std::this_thread::sleep_until(options.containment.budget.deadline.when() +
+                                std::chrono::milliseconds(1));
+  Result<SparseVerdicts> late = engine.CheckAllSparse();
+  ASSERT_TRUE(late.ok()) << late.status().ToString();
+  ExpectEveryPairUnknown(*late, TripReason::kDeadlineExceeded);
+}
+
 // ---- survivor-list (sparse) path -----------------------------------------
 
 // A boolean registry shaped like the classify benchmark: random
@@ -983,7 +1075,7 @@ TEST(SparseEngineTest, ClassifyQueriesMatchesTaxonomyOverCheckAll) {
     }
   }
   const BatchStats& stats = engine.stats();
-  const QueryTaxonomy expected = TaxonomyFromContainment(
+  const QueryTaxonomy expected = DenseTaxonomyOracle(
       contained, int(stats.pairs_checked - stats.pruned_pairs), unknown,
       int(stats.pruned_pairs));
 
@@ -995,6 +1087,99 @@ TEST(SparseEngineTest, ClassifyQueriesMatchesTaxonomyOverCheckAll) {
   EXPECT_EQ(classified->pruned_checks, expected.pruned_checks);
   EXPECT_EQ(classified->unknown_checks, 1);
   EXPECT_EQ(expected.unknown_checks, 1);
+}
+
+// Stage 0 runs its count and fill passes over lhs rows on the batch's
+// pool: the survivor list must come out identical, in content and order,
+// whatever the thread count or schedule.
+TEST(SparseEngineTest, StageZeroSurvivorListIsIdenticalAcrossJobsAndSchedules) {
+  World world;
+  const std::vector<ConjunctiveQuery> queries = SparseBooleanMix(world);
+  std::vector<std::pair<size_t, size_t>> reference_pairs;
+  std::vector<PairVerdict> reference_verdicts;
+  for (bool schedule : {false, true}) {
+    for (int jobs : {1, 2, 4}) {
+      SCOPED_TRACE("cost scheduling " + std::to_string(schedule) +
+                   ", jobs " + std::to_string(jobs));
+      BatchContainmentOptions options;
+      options.jobs = jobs;
+      options.containment.use_cost_scheduling = schedule;
+      options.containment.budget.hom_step_budget = 5000;
+      ContainmentEngine engine(world, options);
+      for (const ConjunctiveQuery& q : queries) {
+        ASSERT_TRUE(engine.AddQuery(q).ok());
+      }
+      Result<SparseVerdicts> sparse = engine.CheckAllSparse();
+      ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+      ASSERT_EQ(sparse->pairs.size(), sparse->verdicts.size());
+      const BatchStats& stats = engine.stats();
+      EXPECT_EQ(stats.pruned_pairs + stats.chase_requests,
+                stats.pairs_checked);
+      EXPECT_EQ(sparse->pairs.size(), stats.chase_requests);
+      if (reference_pairs.empty()) {
+        reference_pairs = sparse->pairs;
+        reference_verdicts = sparse->verdicts;
+        EXPECT_TRUE(std::is_sorted(reference_pairs.begin(),
+                                   reference_pairs.end()));
+        continue;
+      }
+      EXPECT_EQ(sparse->pairs, reference_pairs);
+      size_t mismatches = 0;
+      for (size_t s = 0; s < reference_verdicts.size(); ++s) {
+        if (!SameVerdict(sparse->verdicts[s], reference_verdicts[s])) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
+}
+
+// CheckPairs runs stage 0 over fixed-size slices of the request: a long,
+// shuffled request with repeats must still get every verdict back at its
+// own position.
+TEST(SparseEngineTest, CheckPairsPositionsMapBackAcrossSlices) {
+  World world;
+  const std::vector<ConjunctiveQuery> queries = SparseBooleanMix(world);
+  const size_t n = queries.size();
+  BatchContainmentOptions options;
+  options.containment.budget.hom_step_budget = 5000;
+  options.jobs = 1;
+  ContainmentEngine reference_engine(world, options);
+  options.jobs = 4;
+  ContainmentEngine engine(world, options);
+  for (const ConjunctiveQuery& q : queries) {
+    ASSERT_TRUE(reference_engine.AddQuery(q).ok());
+    ASSERT_TRUE(engine.AddQuery(q).ok());
+  }
+  Result<std::vector<std::vector<PairVerdict>>> matrix =
+      reference_engine.CheckAll();
+  ASSERT_TRUE(matrix.ok()) << matrix.status().ToString();
+
+  Rng rng(77);
+  std::vector<std::pair<size_t, size_t>> request;
+  while (request.size() < 3000) {
+    const size_t i = rng.Below(n);
+    const size_t j = rng.Below(n);
+    if (i == j) continue;
+    request.emplace_back(i, j);
+    if (rng.Chance(0.1)) request.emplace_back(i, j);  // a repeat
+  }
+  request.emplace_back(0, 1);  // the hom-step-budget UNKNOWN pair
+  Result<std::vector<PairVerdict>> verdicts = engine.CheckPairs(request);
+  ASSERT_TRUE(verdicts.ok()) << verdicts.status().ToString();
+  ASSERT_EQ(verdicts->size(), request.size());
+  size_t pruned = 0;
+  size_t mismatches = 0;
+  for (size_t k = 0; k < request.size(); ++k) {
+    const auto& [i, j] = request[k];
+    pruned += (*verdicts)[k].pruned;
+    if (!SameVerdict((*verdicts)[k], (*matrix)[i][j])) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(engine.stats().pairs_checked, request.size());
+  EXPECT_EQ(engine.stats().pruned_pairs, pruned);
+  EXPECT_EQ(verdicts->back().resolution, Resolution::kUnknown);
 }
 
 // Cross-arity pairs are not contained and never checked: they are neither

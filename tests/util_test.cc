@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/deadline.h"
 #include "util/function_ref.h"
 #include "util/interner.h"
 #include "util/rng.h"
@@ -346,6 +347,61 @@ TEST(FunctionRefTest, PassesReferenceArguments) {
   ref(s);
   ref(s);
   EXPECT_EQ(s, "xx");
+}
+
+// ---- borrowed cancellation tokens ------------------------------------------
+
+TEST(BorrowedCancellationTest, BorrowedTokenObservesCancel) {
+  CancellationSource source;
+  const CancellationToken token = source.token();
+  ExecGovernor governor(Deadline::Infinite(), &token);
+  EXPECT_TRUE(governor.CheckNow());
+  source.Cancel();
+  EXPECT_FALSE(governor.CheckNow());
+  EXPECT_EQ(governor.trip(), TripReason::kCancelled);
+
+  // The second slot borrows a token the same way.
+  CancellationSource other;
+  const CancellationToken other_token = other.token();
+  ExecGovernor second;
+  second.AddCancellation(&other_token);
+  EXPECT_TRUE(second.CheckNow());
+  other.Cancel();
+  EXPECT_FALSE(second.CheckNow());
+  EXPECT_EQ(second.trip(), TripReason::kCancelled);
+}
+
+TEST(BorrowedCancellationTest, TokenTakenBeforeResetKeepsObservingTheOldFlag) {
+  CancellationSource source;
+  const CancellationToken cancelled = source.token();
+  source.Cancel();
+  source.Reset();
+  // The source re-armed a fresh flag; the borrowed token still reads the
+  // old one, which it keeps alive.
+  EXPECT_FALSE(source.cancel_requested());
+  ExecGovernor old_flag(Deadline::Infinite(), &cancelled);
+  EXPECT_FALSE(old_flag.CheckNow());
+  EXPECT_EQ(old_flag.trip(), TripReason::kCancelled);
+
+  const CancellationToken live = source.token();
+  ExecGovernor governor(Deadline::Infinite(), &live);
+  source.Reset();
+  source.Cancel();
+  EXPECT_TRUE(source.cancel_requested());
+  EXPECT_TRUE(governor.CheckNow());
+}
+
+TEST(BorrowedCancellationTest, InertTokenNeverTrips) {
+  const CancellationToken inert;
+  EXPECT_FALSE(inert.valid());
+  EXPECT_FALSE(inert.cancelled());
+  ExecGovernor governor(Deadline::Infinite(), &inert);
+  governor.AddCancellation(&inert);
+  for (uint32_t i = 0; i < 4 * ExecGovernor::kStride; ++i) {
+    ASSERT_TRUE(governor.Tick()) << i;
+  }
+  EXPECT_TRUE(governor.CheckNow());
+  EXPECT_FALSE(governor.tripped());
 }
 
 }  // namespace
