@@ -48,10 +48,17 @@ struct PendingExistential {
 
 }  // namespace
 
+// Reads `world` only (rho_4's chase order) and numbers rho_5 nulls from
+// `first_null` upwards; the caller decides whether the World's supply is
+// advanced past them.
 class ChaseEngine {
  public:
-  ChaseEngine(World& world, const ChaseOptions& options)
-      : world_(world), options_(options), sigma_(MakeSigmaFL(world)) {}
+  ChaseEngine(const World& world, const SigmaFL& sigma,
+              const ChaseOptions& options, uint32_t first_null)
+      : world_(world),
+        options_(options),
+        sigma_(sigma),
+        next_null_(first_null) {}
 
   void Run(const ConjunctiveQuery& query, ExecGovernor* governor = nullptr) {
     TraceSpan span("chase.run");
@@ -94,6 +101,7 @@ class ChaseEngine {
   const ChaseResult& result() const { return result_; }
   ChaseResult TakeResult() { return std::move(result_); }
   int level_cap() const { return options_.max_level; }
+  uint32_t next_null() const { return next_null_; }
 
  private:
   void SetGovernor(ExecGovernor* governor) {
@@ -251,7 +259,7 @@ class ChaseEngine {
       }
     }
     rho5_fired_.insert({p.object, p.attr});
-    Term fresh = world_.MakeFreshNull();
+    Term fresh = Term::Null(next_null_++);
     ++result_.stats_.fresh_nulls;
     return InsertNode(Atom::Data(p.object, p.attr, fresh), p.level, kRho5,
                       {p.parent});
@@ -517,9 +525,10 @@ class ChaseEngine {
                      /*generic_driver=*/false);
   }
 
-  World& world_;
+  const World& world_;
   ChaseOptions options_;
-  SigmaFL sigma_;
+  const SigmaFL& sigma_;
+  uint32_t next_null_;
   ChaseResult result_;
   TermUnionFind uf_;
   std::vector<Atom> delta_;
@@ -620,8 +629,10 @@ std::string ChaseResult::DebugString(const World& world) const {
 
 ChaseResult ChaseQuery(World& world, const ConjunctiveQuery& query,
                        const ChaseOptions& options) {
-  ChaseEngine engine(world, options);
+  const SigmaFL sigma = MakeSigmaFL(world);
+  ChaseEngine engine(world, sigma, options, world.null_count());
   engine.Run(query);
+  world.AdvanceNullCounter(engine.next_null());
   return engine.TakeResult();
 }
 
@@ -629,16 +640,19 @@ ChaseResult ChaseLevelZero(World& world, const ConjunctiveQuery& query,
                            const ChaseOptions& options) {
   ChaseOptions level_zero = options;
   level_zero.max_level = 0;
-  ChaseEngine engine(world, level_zero);
-  engine.Run(query);
-  return engine.TakeResult();
+  return ChaseQuery(world, query, level_zero);
 }
 
 // ---- ResumableChase ---------------------------------------------------------
 
-ResumableChase::ResumableChase(World& world, const ConjunctiveQuery& query,
+ResumableChase::ResumableChase(const World& world, const SigmaFL& sigma,
+                               const ConjunctiveQuery& query,
                                const ChaseOptions& options)
-    : world_(&world), query_(query), options_(options) {}
+    : world_(&world),
+      sigma_(&sigma),
+      first_null_(world.null_count()),
+      query_(query),
+      options_(options) {}
 
 ResumableChase::~ResumableChase() = default;
 ResumableChase::ResumableChase(ResumableChase&&) noexcept = default;
@@ -650,7 +664,8 @@ const ChaseResult& ResumableChase::EnsureLevel(int level,
     FLOQ_CHECK(!frozen_);
     ChaseOptions run_options = options_;
     run_options.max_level = level;
-    engine_ = std::make_unique<ChaseEngine>(*world_, run_options);
+    engine_ = std::make_unique<ChaseEngine>(*world_, *sigma_, run_options,
+                                            first_null_);
     engine_->Run(query_, governor);
     started_ = true;
     return engine_->result();

@@ -176,9 +176,10 @@ class ChaseResult {
   ChaseStats stats_;
 };
 
-/// Chases `query` w.r.t. Sigma_FL. All terms must come from `world` (fresh
-/// nulls are drawn from it). The body of the query is taken as the initial
-/// database; its variables are treated as values throughout.
+/// Chases `query` w.r.t. Sigma_FL. All terms must come from `world`; fresh
+/// nulls continue the World's supply, which is advanced past them. The
+/// body of the query is taken as the initial database; its variables are
+/// treated as values throughout.
 ChaseResult ChaseQuery(World& world, const ConjunctiveQuery& query,
                        const ChaseOptions& options = {});
 
@@ -189,15 +190,22 @@ class ChaseEngine;
 /// the missing levels (k, k']. `options.max_level` is ignored — the level
 /// cap always comes from EnsureLevel.
 ///
-/// Concurrency contract: a ResumableChase is single-threaded while it is
-/// being deepened (the chase draws fresh nulls from the shared World).
-/// Once Freeze() has been called the handle is immutable — result() and
-/// EnsureLevel() calls that need no deepening are const reads of the
-/// FactIndex and may run from many threads concurrently. EnsureLevel()
-/// FLOQ_CHECK-fails if it would have to deepen a frozen handle.
+/// rho_5 numbers the handle's nulls upwards from the World's null
+/// watermark at construction, without advancing it: two handles may reuse
+/// null ids, so their chases must never be mixed in one instance.
+///
+/// Concurrency contract: the handle only reads `world` and `sigma` (both
+/// must outlive it), so distinct handles may be built and deepened on
+/// different threads while nobody interns into `world`. One handle is
+/// single-threaded while it is being deepened. Once Freeze() has been
+/// called the handle is immutable — result() and EnsureLevel() calls that
+/// need no deepening are const reads of the FactIndex and may run from
+/// many threads concurrently. EnsureLevel() FLOQ_CHECK-fails if it would
+/// have to deepen a frozen handle.
 class ResumableChase {
  public:
-  ResumableChase(World& world, const ConjunctiveQuery& query,
+  ResumableChase(const World& world, const SigmaFL& sigma,
+                 const ConjunctiveQuery& query,
                  const ChaseOptions& options = {});
   ~ResumableChase();
   ResumableChase(ResumableChase&&) noexcept;
@@ -239,7 +247,9 @@ class ResumableChase {
   bool frozen() const { return frozen_; }
 
  private:
-  World* world_;
+  const World* world_;
+  const SigmaFL* sigma_;
+  uint32_t first_null_;
   ConjunctiveQuery query_;
   ChaseOptions options_;
   std::unique_ptr<ChaseEngine> engine_;

@@ -7,8 +7,9 @@ SigmaFL MakeSigmaFL(World& world) {
 
   // Rule variables must never coincide with variables of chased queries
   // (chase conjuncts carry query variables as values, and the matcher
-  // binds pattern variables syntactically), so each Sigma_FL instance
-  // draws globally fresh variables.
+  // binds pattern variables syntactically). Reserved "$R<n>" names can
+  // never be parsed, so one instance serves any number of chases: the
+  // batch engine builds one and shares it read-only across its handles.
   Term o = world.MakeReservedVariable();
   Term a = world.MakeReservedVariable();
   Term t = world.MakeReservedVariable();

@@ -73,9 +73,10 @@ struct SigmaFL {
   SigmaExistential existential;  // rho_5
 };
 
-/// Builds Sigma_FL. The rule variables are fresh variables of `world`
-/// (they never collide with query variables because matching binds them
-/// through explicit substitutions only).
+/// Builds Sigma_FL. The rule variables are fresh reserved variables of
+/// `world` (they never collide with query variables because matching binds
+/// them through explicit substitutions only). Each call interns ten new
+/// names, so callers that chase many queries build one and share it.
 SigmaFL MakeSigmaFL(World& world);
 
 /// The Datalog fragment Sigma_FL minus {rho_4, rho_5} as plain rules, for

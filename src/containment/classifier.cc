@@ -25,10 +25,7 @@ Result<QueryTaxonomy> ClassifyQueries(
   // come back — every other pair is not contained — so the classifier
   // never holds an n x n verdict matrix.
   ContainmentEngine engine(world, options);
-  for (const ConjunctiveQuery& query : queries) {
-    Result<size_t> id = engine.AddQuery(query);
-    if (!id.ok()) return id.status();
-  }
+  FLOQ_RETURN_IF_ERROR(engine.AddQueries(queries).status());
   Result<SparseVerdicts> sparse = engine.CheckAllSparse();
   if (!sparse.ok()) return sparse.status();
 

@@ -54,59 +54,89 @@ struct ContainmentEngine::Entry {
 
 ContainmentEngine::ContainmentEngine(World& world,
                                      const BatchContainmentOptions& options)
-    : world_(world), options_(options) {}
+    : world_(world), options_(options), sigma_(MakeSigmaFL(world)) {}
 
 ContainmentEngine::~ContainmentEngine() = default;
 
+void ContainmentEngine::RunParallel(size_t count,
+                                    const std::function<void(size_t)>& fn) {
+  const size_t jobs = options_.jobs == 0 ? ThreadPool::DefaultThreads()
+                                         : size_t(options_.jobs);
+  if (jobs > 1 && count > 1) {
+    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(jobs);
+    return ParallelFor(*pool_, count, fn);
+  }
+  for (size_t i = 0; i < count; ++i) fn(i);
+}
+
 Result<size_t> ContainmentEngine::AddQuery(const ConjunctiveQuery& query) {
-  FLOQ_RETURN_IF_ERROR(query.Validate(world_));
-  auto entry = std::make_unique<Entry>();
-  entry->query = query;
-  entry->renamed = query.RenameApart(world_);
+  return AddQueries({&query, 1});
+}
+
+Result<size_t> ContainmentEngine::AddQueries(
+    std::span<const ConjunctiveQuery> queries) {
+  for (const ConjunctiveQuery& query : queries) {
+    FLOQ_RETURN_IF_ERROR(query.Validate(world_));
+  }
+  // Renaming apart interns fresh variables in the World: sequential.
+  const size_t first = entries_.size();
+  for (const ConjunctiveQuery& query : queries) {
+    auto entry = std::make_unique<Entry>();
+    entry->query = query;
+    entry->renamed = query.RenameApart(world_);
+    entries_.push_back(std::move(entry));
+  }
   const ContainmentOptions& copts = options_.containment;
-  const ChaseResult* probe = nullptr;
-  if ((copts.use_signature_index || copts.use_cost_scheduling) &&
-      copts.depth != ChaseDepth::kNone) {
-    // The probe IS the pair pipeline's cached chase handle: whatever it
-    // materializes here is reused — and deepened, never rebuilt — by
-    // every later pair with this query on the left. It runs under the
-    // same governed budget as a pair's chase stage, so a runaway query
-    // cannot stall registration; an inconclusive probe just degrades
-    // the signature to the static closure (and the cost fit to a wider
-    // extrapolation).
-    ChaseOptions chase_options;
-    chase_options.max_atoms = copts.max_chase_atoms;
-    // The governor borrows the token, so it must outlive the governor.
-    const CancellationToken engine_token = cancel_source_.token();
-    ExecGovernor governor = MakeChaseGovernor(copts.budget);
-    governor.AddCancellation(&engine_token);
-    const int probe_level = copts.depth == ChaseDepth::kLevelZero
-                                ? 0
-                                : std::max(copts.signature_probe_levels, 0);
-    ++stats_.chases_run;
-    entry->chase.emplace(world_, entry->query, chase_options);
-    probe = &entry->chase->EnsureLevel(probe_level, &governor);
-    FoldGovernorMetrics(governor);
-  }
-  if (copts.use_signature_index) {
-    entry->signature =
-        ComputeClosureSignature(entry->query, copts.depth, probe);
-  }
-  if (copts.use_cost_scheduling) {
-    // The rhs pattern is the renamed copy — the one the hom search
-    // actually runs — though only its shape matters here.
-    entry->pattern_profile = analysis::ProfilePattern(entry->renamed);
-    if (probe != nullptr) {
-      entry->target_profile = analysis::ProfileTarget(*probe);
-    } else {
-      // kNone mode: the target is body(q) verbatim, an exact "chase".
-      FactIndex body;
-      for (const Atom& atom : entry->query.body()) body.Insert(atom);
-      entry->target_profile = analysis::ProfileFacts(body);
+  const bool probe = (copts.use_signature_index || copts.use_cost_scheduling) &&
+                     copts.depth != ChaseDepth::kNone;
+  ChaseOptions chase_options;
+  chase_options.max_atoms = copts.max_chase_atoms;
+  const int probe_level = copts.depth == ChaseDepth::kLevelZero
+                              ? 0
+                              : std::max(copts.signature_probe_levels, 0);
+  // The governors borrow the token, so it must outlive them.
+  const CancellationToken engine_token = cancel_source_.token();
+  std::vector<ExecGovernor> governors(probe ? queries.size() : 0);
+  // Everything below only reads the World and sigma_ (the probe's nulls are
+  // local to its handle), so the entries register independently.
+  RunParallel(queries.size(), [&](size_t k) {
+    Entry& entry = *entries_[first + k];
+    const ChaseResult* probe_result = nullptr;
+    if (probe) {
+      // The probe IS the pair pipeline's cached chase handle: whatever it
+      // materializes here is reused — and deepened, never rebuilt — by
+      // every later pair with this query on the left. It runs under the
+      // same governed budget as a pair's chase stage, so a runaway query
+      // cannot stall registration; an inconclusive probe just degrades
+      // the signature to the static closure (and the cost fit to a wider
+      // extrapolation).
+      ExecGovernor& governor = governors[k];
+      governor = MakeChaseGovernor(copts.budget);
+      governor.AddCancellation(&engine_token);
+      entry.chase.emplace(world_, sigma_, entry.query, chase_options);
+      probe_result = &entry.chase->EnsureLevel(probe_level, &governor);
     }
-  }
-  entries_.push_back(std::move(entry));
-  return entries_.size() - 1;
+    if (copts.use_signature_index) {
+      entry.signature =
+          ComputeClosureSignature(entry.query, copts.depth, probe_result);
+    }
+    if (copts.use_cost_scheduling) {
+      // The rhs pattern is the renamed copy — the one the hom search
+      // actually runs — though only its shape matters here.
+      entry.pattern_profile = analysis::ProfilePattern(entry.renamed);
+      if (probe_result != nullptr) {
+        entry.target_profile = analysis::ProfileTarget(*probe_result);
+      } else {
+        // kNone mode: the target is body(q) verbatim, an exact "chase".
+        FactIndex body;
+        for (const Atom& atom : entry.query.body()) body.Insert(atom);
+        entry.target_profile = analysis::ProfileFacts(body);
+      }
+    }
+  });
+  for (const ExecGovernor& governor : governors) FoldGovernorMetrics(governor);
+  stats_.chases_run += governors.size();
+  return first;
 }
 
 size_t ContainmentEngine::query_count() const { return entries_.size(); }
@@ -187,20 +217,6 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
   // cumulative across batches).
   const BatchStats stats_before = stats_;
 
-  // One pool per batch, created on first use and shared by stage 0 and the
-  // hom fan-out; jobs=1 runs everything inline on the calling thread.
-  const size_t jobs = options_.jobs == 0 ? ThreadPool::DefaultThreads()
-                                         : size_t(options_.jobs);
-  std::optional<ThreadPool> pool;
-  auto parallel_for = [&](size_t count,
-                          const std::function<void(size_t)>& fn) {
-    if (jobs > 1 && count > 1) {
-      if (!pool.has_value()) pool.emplace(std::min(jobs, count));
-      return ParallelFor(*pool, count, fn);
-    }
-    for (size_t i = 0; i < count; ++i) fn(i);
-  };
-
   // ---- stage 0: signature prefilter, emitting the survivor list ---------
   //
   // A failed subset test (signature.h) is a sound definite kNotContained:
@@ -223,21 +239,28 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
   }
   const SteadyClock::time_point sig_start = SteadyClock::now();
   const Deadline sig_deadline = AnchorDeadline(budget);
-  // Dense per-query keys holding MayContain's two cheapest tests — the
-  // constant Bloom masks and the first predicate word — so most pairs are
-  // settled from one contiguous array; the rest take MayContain itself.
+  // Dense per-query keys holding MayContain's cheapest tests — the
+  // constant and gram Bloom masks and the first predicate word — so most
+  // pairs are settled from one contiguous array; the rest take MayContain
+  // itself.
   struct SignatureKey {
     const ClosureSignature* sig = nullptr;
     bool prunable = false;  // may discharge pairs with this query on the left
-    uint64_t closure_constants = 0, closure_predicates = 0;  // as lhs
-    uint64_t constants = 0, predicates = 0;                  // as rhs
+    uint64_t closure_constants = 0, closure_grams = 0,
+             closure_predicates = 0;                         // as lhs
+    uint64_t constants = 0, grams = 0, predicates = 0;       // as rhs
   };
   std::vector<SignatureKey> keys(filter ? num_queries : 0);
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!entries_[i]->signature.has_value()) continue;
     const ClosureSignature& sig = *entries_[i]->signature;
-    keys[i] = {&sig, sig.prunable, sig.closure_constant_mask,
-               sig.closure_predicates.word(0), sig.base.constant_mask,
+    keys[i] = {&sig,
+               sig.prunable,
+               sig.closure_constant_mask,
+               sig.closure_gram_mask,
+               sig.closure_predicates.word(0),
+               sig.base.constant_mask,
+               sig.base.gram_mask,
                sig.base.predicates.word(0)};
   }
   auto discharged = [&](size_t lhs, size_t rhs) {
@@ -245,6 +268,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
     const SignatureKey& r = keys[rhs];
     if (!l.prunable || r.sig == nullptr) return false;
     return ((r.constants & ~l.closure_constants) |
+            (r.grams & ~l.closure_grams) |
             (r.predicates & ~l.closure_predicates)) != 0 ||
            !MayContain(*l.sig, r.sig->base);
   };
@@ -254,7 +278,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
     size_t candidates = 0, survivors = 0, tested = 0;
   };
   std::vector<SliceCount> counts(slices);
-  parallel_for(slices, [&](size_t r) {
+  RunParallel(slices, [&](size_t r) {
     ExecGovernor governor(sig_deadline, &budget.cancel);
     governor.AddCancellation(&engine_token);
     bool pruning = filter;
@@ -287,7 +311,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
   std::vector<std::pair<size_t, size_t>>& pairs = out.pairs;
   pairs.resize(survivors);
   if (positions != nullptr) positions->resize(survivors);
-  parallel_for(slices, [&](size_t r) {
+  RunParallel(slices, [&](size_t r) {
     const SliceCount& count = counts[r];
     size_t next = count.survivors;
     size_t k = 0;
@@ -365,9 +389,8 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
 
   // ---- sequential phase: build / deepen the shared targets ---------------
   //
-  // Everything that mutates the World (fresh nulls for chase steps) or a
-  // cache entry happens here, on the calling thread. The workers below
-  // only read. Each pair with chase work to do gets its own governor with
+  // Everything that mutates a cache entry happens here, on the calling
+  // thread. The workers below only read. Each pair with chase work to do gets its own governor with
   // a freshly anchored timeout (per-pair isolation): a runaway chase trips
   // its own deadline, and the next pair starts with a full budget again.
   ChaseOptions chase_options;
@@ -446,7 +469,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
 
     if (!l.chase.has_value()) {
       ++stats_.chases_run;
-      l.chase.emplace(world_, l.query, chase_options);
+      l.chase.emplace(world_, sigma_, l.query, chase_options);
     } else {
       ++stats_.chase_cache_hits;
     }
@@ -557,7 +580,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
 
   // ParallelFor claims indices in ascending chunks, so dispatching through
   // `order` makes workers pick the cheapest-predicted pairs up first.
-  parallel_for(survivors, [&](size_t ord) {
+  RunParallel(survivors, [&](size_t ord) {
     run_pair(order.empty() ? ord : order[ord]);
   });
 

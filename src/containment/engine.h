@@ -2,6 +2,7 @@
 #define FLOQ_CONTAINMENT_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -32,14 +33,17 @@
 // every later phase iterates a compact survivor list, and
 // CheckAllSparse returns just those verdicts.
 //
-// Concurrency model (see DESIGN.md §8): all chase construction, deepening,
-// and query renaming happen sequentially on the calling thread (they draw
-// fresh nulls/variables from the shared World, which is not thread-safe);
-// the handles are then frozen (ResumableChase::Freeze) and shared
-// read-only with stateless workers that only perform const FactIndex
-// lookups. n queries cost n chases instead of n(n-1).
+// Concurrency model (see DESIGN.md §8): the World writes — renaming
+// queries apart and the engine's one Sigma_FL — happen on the calling
+// thread. Registration probes run on the engine's pool (a chase handle only
+// reads the World and numbers its nulls locally); per-pair deepening is
+// sequential. The handles are then frozen (ResumableChase::Freeze) and
+// shared read-only with stateless workers that only perform const
+// FactIndex lookups. n queries cost n chases instead of n(n-1).
 
 namespace floq {
+
+class ThreadPool;
 
 struct BatchContainmentOptions {
   /// Per-pair semantics: depth, level override, chase atom budget, and the
@@ -50,9 +54,9 @@ struct BatchContainmentOptions {
   /// ~2x timeout_ms) and every other pair still gets its full share. The
   /// absolute deadline and cancellation token are shared batch-wide.
   ContainmentOptions containment;
-  /// Worker threads for the stage-0 signature filter and the
-  /// homomorphism fan-out. 0 = hardware concurrency; 1 = run everything
-  /// on the calling thread.
+  /// Worker threads for registration probes, the stage-0 signature filter
+  /// and the homomorphism fan-out. 0 = hardware concurrency; 1 = run
+  /// everything on the calling thread.
   int jobs = 0;
 };
 
@@ -186,8 +190,14 @@ class ContainmentEngine {
   /// Registers a query and returns its dense id (the cache key: chases are
   /// memoized per id). Fails if the query is malformed. Registration
   /// renames the query apart eagerly, so later checks share one renamed
-  /// copy instead of re-renaming per pair.
+  /// copy instead of re-renaming per pair. Same as AddQueries({query}).
   Result<size_t> AddQuery(const ConjunctiveQuery& query);
+
+  /// Registers `queries` under consecutive ids and returns the first;
+  /// registers none if any is malformed. The probe chases, signatures and
+  /// cost profiles run on the engine's pool, with the same results as
+  /// registering one query at a time.
+  Result<size_t> AddQueries(std::span<const ConjunctiveQuery> queries);
 
   size_t query_count() const;
   const ConjunctiveQuery& query(size_t id) const;
@@ -257,9 +267,16 @@ class ContainmentEngine {
   /// Dense per-query arities, indexed by id.
   std::vector<int> Arities() const;
 
+  /// Runs fn(0) .. fn(count - 1) on the engine's pool (created on first
+  /// use), or inline when jobs is 1 or there is only one index.
+  void RunParallel(size_t count, const std::function<void(size_t)>& fn);
+
   World& world_;
   BatchContainmentOptions options_;
+  // Shared by every chase handle (see MakeSigmaFL).
+  const SigmaFL sigma_;
   std::vector<std::unique_ptr<Entry>> entries_;
+  std::unique_ptr<ThreadPool> pool_;
   BatchStats stats_;
   CancellationSource cancel_source_;
 };

@@ -9,10 +9,10 @@ namespace floq {
 
 namespace {
 
-// One hashed bit per constant: a Fibonacci multiplicative hash spreads
-// consecutively interned ids across the 64-bit Bloom mask.
-uint64_t ConstantBit(uint32_t raw) {
-  return uint64_t(1) << ((raw * uint64_t(0x9E3779B97F4A7C15)) >> 58);
+// One hashed bit per constant or gram: a Fibonacci multiplicative hash
+// spreads consecutively interned ids across the 64-bit Bloom mask.
+uint64_t BloomBit(uint64_t key) {
+  return uint64_t(1) << ((key * uint64_t(0x9E3779B97F4A7C15)) >> 58);
 }
 
 // Collects the distinct constants of `terms` into sorted (raw, count)
@@ -24,7 +24,7 @@ void FoldConstants(const Term* begin, const Term* end,
   for (const Term* t = begin; t != end; ++t) {
     if (!t->IsConstant()) continue;
     const uint32_t raw = t->raw();
-    *mask |= ConstantBit(raw);
+    *mask |= BloomBit(raw);
     auto it = std::lower_bound(raws->begin(), raws->end(), raw);
     if (it != raws->end() && *it == raw) {
       if (counts != nullptr) ++(*counts)[size_t(it - raws->begin())];
@@ -36,6 +36,23 @@ void FoldConstants(const Term* begin, const Term* end,
       }
     }
   }
+}
+
+// Appends the constant grams of `atom` (and their Bloom bits).
+void CollectGrams(const Atom& atom, std::vector<uint64_t>* grams,
+                  uint64_t* mask) {
+  for (int pos = 0; pos < atom.arity(); ++pos) {
+    const Term t = atom.arg(pos);
+    if (!t.IsConstant()) continue;
+    const uint64_t gram = MakeGram(atom.predicate(), pos, t);
+    *mask |= BloomBit(gram);
+    grams->push_back(gram);
+  }
+}
+
+void SortUnique(std::vector<uint64_t>* grams) {
+  std::sort(grams->begin(), grams->end());
+  grams->erase(std::unique(grams->begin(), grams->end()), grams->end());
 }
 
 }  // namespace
@@ -62,7 +79,9 @@ QuerySignature ComputeQuerySignature(const ConjunctiveQuery& query) {
     sig.predicates.Set(atom.predicate());
     FoldConstants(atom.begin(), atom.end(), &sig.constants,
                   &sig.constant_counts, &sig.constant_mask);
+    CollectGrams(atom, &sig.grams, &sig.gram_mask);
   }
+  SortUnique(&sig.grams);
   const std::vector<Term>& head = query.head();
   FoldConstants(head.data(), head.data() + head.size(), &sig.constants,
                 &sig.constant_counts, &sig.constant_mask);
@@ -128,6 +147,8 @@ ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
     sig.closure_predicates = sig.base.predicates;
     sig.closure_constants = sig.base.constants;
     sig.closure_constant_mask = sig.base.constant_mask;
+    sig.closure_grams = sig.base.grams;
+    sig.closure_gram_mask = sig.base.gram_mask;
     sig.exact = true;
     sig.prunable = true;
     return sig;
@@ -153,11 +174,16 @@ ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
         probe->outcome() == ChaseOutcome::kLevelCapped));
 
   if (exact) {
+    // An exact probe holds every conjunct the hom stage can search, so its
+    // grams bound every image an rhs atom can have.
+    sig.closure_gram_mask = 0;
     for (const Atom& atom : probe->conjuncts().atoms()) {
       sig.closure_predicates.Set(atom.predicate());
       FoldConstants(atom.begin(), atom.end(), &sig.closure_constants,
                     nullptr, &sig.closure_constant_mask);
+      CollectGrams(atom, &sig.closure_grams, &sig.closure_gram_mask);
     }
+    SortUnique(&sig.closure_grams);
     const std::vector<Term>& head = probe->head();
     FoldConstants(head.data(), head.data() + head.size(),
                   &sig.closure_constants, nullptr,
@@ -190,15 +216,22 @@ ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
 bool MayContain(const ClosureSignature& lhs, const QuerySignature& rhs) {
   if (!lhs.prunable) return true;
   // Cheapest test first: a Bloom bit rhs carries but the closure lacks
-  // proves some rhs constant is absent. Only mask-subset pairs pay the
-  // exact checks below.
-  if ((rhs.constant_mask & ~lhs.closure_constant_mask) != 0) return false;
+  // proves some rhs constant or gram is absent. Only mask-subset pairs pay
+  // the exact checks below.
+  if (((rhs.constant_mask & ~lhs.closure_constant_mask) |
+       (rhs.gram_mask & ~lhs.closure_gram_mask)) != 0) {
+    return false;
+  }
   if (!rhs.predicates.IsSubsetOf(lhs.closure_predicates)) return false;
   // A homomorphism fixes constants and the chase invents none, so every
-  // rhs constant must already occur in lhs's closure.
+  // rhs constant must already occur in lhs's closure — and, since it maps
+  // each atom onto a conjunct of the same predicate, at the same position.
   return std::includes(lhs.closure_constants.begin(),
                        lhs.closure_constants.end(), rhs.constants.begin(),
-                       rhs.constants.end());
+                       rhs.constants.end()) &&
+         (!lhs.exact ||
+          std::includes(lhs.closure_grams.begin(), lhs.closure_grams.end(),
+                        rhs.grams.begin(), rhs.grams.end()));
 }
 
 }  // namespace floq

@@ -23,13 +23,17 @@
 // SAME predicate, and fixes constants. Therefore:
 //
 //   preds(rhs)     ⊆ preds(chase(lhs))      and
-//   constants(rhs) ⊆ constants(chase(lhs))
+//   constants(rhs) ⊆ constants(chase(lhs))  and
+//   grams(rhs)     ⊆ grams(chase(lhs))
 //
-// are necessary for containment, and their failure is a sound definite
-// kNotContained — *provided* chase(lhs) did not fail (a failed chase makes
-// lhs unsatisfiable and hence vacuously contained in everything) and the
-// closure sets really over-approximate the full chase (see
-// ClosureSignature::prunable for the two guards).
+// are necessary for containment, where a *gram* is a (predicate,
+// position, constant) triple: an rhs atom with constant c at position p
+// can only map onto a conjunct with c at p. Their failure is a sound
+// definite kNotContained — *provided* chase(lhs) did not fail (a failed
+// chase makes lhs unsatisfiable and hence vacuously contained in
+// everything) and the closure sets really over-approximate the full chase
+// (see ClosureSignature::prunable for the two guards; grams take part only
+// when the closure is exact).
 
 namespace floq {
 
@@ -102,6 +106,11 @@ struct QuerySignature {
   /// some rhs constant is definitely absent — two word ops that settle
   /// most non-subset pairs without walking the sorted vectors.
   uint64_t constant_mask = 0;
+  /// Distinct (predicate, position, constant) grams of the body (see
+  /// MakeGram), sorted ascending.
+  std::vector<uint64_t> grams;
+  /// 64-bit Bloom fingerprint of `grams`, like constant_mask.
+  uint64_t gram_mask = 0;
   /// |q| — body atoms. An upper cardinality bound in the signature
   /// lattice, NOT a discharge condition (homomorphisms collapse atoms).
   uint32_t atoms = 0;
@@ -112,6 +121,14 @@ struct QuerySignature {
 };
 
 QuerySignature ComputeQuerySignature(const ConjunctiveQuery& query);
+
+/// Packs "constant `constant` at argument `position` of `predicate`" into
+/// one sortable word: predicate, then position, then Term::raw().
+static_assert(kMaxArity <= 16, "MakeGram keeps 4 bits for the position");
+inline uint64_t MakeGram(PredicateId predicate, int position, Term constant) {
+  return (uint64_t(predicate) << 34) | (uint64_t(position) << 30) |
+         constant.raw();
+}
 
 /// Sigma_FL closure at the predicate level: the least superset S of
 /// `start` closed under "if every body predicate of a rule is in S, add
@@ -146,8 +163,18 @@ struct ClosureSignature {
   /// QuerySignature::constant_mask).
   uint64_t closure_constant_mask = 0;
 
-  /// The probe ran the relevant chase to completion, so the closure sets
-  /// are the exact materialized sets rather than static over-estimates.
+  /// grams(chase_Sigma(q)) as sorted distinct MakeGram values, filled only
+  /// when `exact`: Sigma_FL rules move constants to new positions (rho_1
+  /// turns type(O, A, t) into member(V, t)), so an inconclusive probe keeps
+  /// no gram bound at all.
+  std::vector<uint64_t> closure_grams;
+  /// Bloom fingerprint of closure_grams; all ones when not `exact`, so
+  /// such a signature never prunes by gram.
+  uint64_t closure_gram_mask = ~uint64_t(0);
+
+  /// The probe ran the relevant chase to completion (or the depth is
+  /// ChaseDepth::kNone), so the closure sets are the exact materialized
+  /// sets rather than static over-estimates.
   bool exact = false;
 
   /// The probe saw the chase fail (rho_4 equated distinct constants): q

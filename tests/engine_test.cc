@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -295,6 +297,10 @@ TEST(ContainmentEngineTest, RejectsMalformedQuery) {
                                         world.MakeVariable("C"))});
   ContainmentEngine engine(world);
   EXPECT_FALSE(engine.AddQuery(unsafe).ok());
+  // A batch with one malformed query registers none of them.
+  const ConjunctiveQuery batch[] = {Q(world, "ok() :- member(X, c)."), unsafe};
+  EXPECT_FALSE(engine.AddQueries(batch).ok());
+  EXPECT_EQ(engine.query_count(), 0u);
 }
 
 // ---- resumption property: deepened == fresh ------------------------------
@@ -425,8 +431,9 @@ TEST(ResumableChaseTest, DeepeningMatchesFreshChaseAcrossCorpus) {
         gen::MakeRandomQuery(world, spec, "rand" + std::to_string(seed)));
   }
 
+  const SigmaFL sigma = MakeSigmaFL(world);
   for (const ConjunctiveQuery& query : corpus) {
-    ResumableChase resumable(world, query);
+    ResumableChase resumable(world, sigma, query);
     for (int level : kSteps) {
       const ChaseResult& resumed = resumable.EnsureLevel(level);
       ChaseOptions fresh_options;
@@ -446,7 +453,8 @@ TEST(ResumableChaseTest, DeepeningMatchesFreshChaseAcrossCorpus) {
 TEST(ResumableChaseTest, EnsureLevelIsMonotoneAndIdempotent) {
   World world;
   ConjunctiveQuery cycle = gen::MakeMandatoryCycleQuery(world, 2, "cycle");
-  ResumableChase resumable(world, cycle);
+  const SigmaFL sigma = MakeSigmaFL(world);
+  ResumableChase resumable(world, sigma, cycle);
 
   const ChaseResult& at4 = resumable.EnsureLevel(4);
   EXPECT_EQ(at4.outcome(), ChaseOutcome::kLevelCapped);
@@ -468,7 +476,8 @@ TEST(ResumableChaseTest, EnsureLevelIsMonotoneAndIdempotent) {
 TEST(ResumableChaseTest, FrozenHandleAllowsConstReads) {
   World world;
   ConjunctiveQuery cycle = gen::MakeMandatoryCycleQuery(world, 2, "cycle");
-  ResumableChase resumable(world, cycle);
+  const SigmaFL sigma = MakeSigmaFL(world);
+  ResumableChase resumable(world, sigma, cycle);
   resumable.EnsureLevel(5);
   uint32_t size = resumable.result().size();
 
@@ -487,7 +496,8 @@ TEST(ResumableChaseTest, CompletedChaseNeverDeepens) {
   World world;
   // No mandatory atoms: the chase completes at level 0.
   ConjunctiveQuery q = Q(world, "q(X) :- member(X, C), sub(C, D).");
-  ResumableChase resumable(world, q);
+  const SigmaFL sigma = MakeSigmaFL(world);
+  ResumableChase resumable(world, sigma, q);
   const ChaseResult& result = resumable.EnsureLevel(3);
   EXPECT_EQ(result.outcome(), ChaseOutcome::kCompleted);
   resumable.EnsureLevel(100);
@@ -1215,6 +1225,106 @@ TEST(SparseEngineTest, AllPairsSkipCrossArityPairs) {
 
   std::vector<std::pair<size_t, size_t>> bad_arity = {{0, 1}};
   EXPECT_FALSE(engine.CheckPairs(bad_arity).ok());
+}
+
+// ---- batch registration ----------------------------------------------------
+
+void ExpectSameSignature(const ClosureSignature& a, const ClosureSignature& b) {
+  EXPECT_EQ(a.base.predicates, b.base.predicates);
+  EXPECT_EQ(a.base.constants, b.base.constants);
+  EXPECT_EQ(a.base.grams, b.base.grams);
+  EXPECT_EQ(a.closure_predicates, b.closure_predicates);
+  EXPECT_EQ(a.closure_constants, b.closure_constants);
+  EXPECT_EQ(a.closure_grams, b.closure_grams);
+  EXPECT_EQ(a.closure_gram_mask, b.closure_gram_mask);
+  EXPECT_EQ(a.exact, b.exact);
+  EXPECT_EQ(a.chase_failed, b.chase_failed);
+  EXPECT_EQ(a.prunable, b.prunable);
+}
+
+// AddQueries runs the probes on the engine's pool, each drawing nulls
+// from its own handle: signatures, survivor lists and verdicts must equal
+// one-at-a-time registration at every thread count — including the exact
+// set of pairs a hom step budget leaves UNKNOWN.
+TEST(SparseEngineTest, AddQueriesMatchesOneAtATimeAcrossJobs) {
+  World world;
+  std::vector<ConjunctiveQuery> queries = SparseBooleanMix(world);
+  queries.push_back(gen::MakeMandatoryCycleQuery(world, 2, "cycle2"));
+  queries.push_back(gen::MakeFunctFanQuery(world, 2, "fan2"));
+  // The hard graph queries of the mix need a step budget to finish.
+  for (uint64_t step_budget : {uint64_t{5000}, uint64_t{40}}) {
+    std::unique_ptr<ContainmentEngine> reference;
+    std::optional<SparseVerdicts> expected;
+    for (bool batch : {false, true}) {
+      for (int jobs : {1, 2, 4}) {
+        SCOPED_TRACE("budget " + std::to_string(step_budget) + ", batch " +
+                     std::to_string(batch) + ", jobs " + std::to_string(jobs));
+        BatchContainmentOptions options;
+        options.jobs = jobs;
+        options.containment.budget.hom_step_budget = step_budget;
+        auto engine = std::make_unique<ContainmentEngine>(world, options);
+        if (batch) {
+          Result<size_t> first = engine->AddQueries(queries);
+          ASSERT_TRUE(first.ok()) << first.status().ToString();
+          EXPECT_EQ(*first, 0u);
+        } else {
+          for (size_t i = 0; i < queries.size(); ++i) {
+            Result<size_t> id = engine->AddQuery(queries[i]);
+            ASSERT_TRUE(id.ok()) << id.status().ToString();
+            EXPECT_EQ(*id, i);
+          }
+        }
+        EXPECT_EQ(engine->stats().chases_run, queries.size());
+        Result<SparseVerdicts> sparse = engine->CheckAllSparse();
+        ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+        if (reference == nullptr) {
+          reference = std::move(engine);
+          expected = *std::move(sparse);
+          size_t unknown = 0;
+          for (const PairVerdict& v : expected->verdicts) {
+            unknown += v.resolution == Resolution::kUnknown;
+          }
+          if (step_budget < 100) EXPECT_GT(unknown, 0u);
+          continue;
+        }
+        for (size_t i = 0; i < queries.size(); ++i) {
+          ExpectSameSignature(*engine->signature_of(i),
+                              *reference->signature_of(i));
+        }
+        EXPECT_EQ(sparse->pairs, expected->pairs);
+        size_t mismatches = 0;
+        for (size_t s = 0; s < expected->verdicts.size(); ++s) {
+          mismatches +=
+              !SameVerdict(sparse->verdicts[s], expected->verdicts[s]);
+        }
+        EXPECT_EQ(mismatches, 0u);
+      }
+    }
+  }
+}
+
+// Every chase handle shares the engine's one Sigma_FL and numbers its own
+// nulls: registering and checking grows the World by the renamed
+// variables only — not by a rule set per chase, and not by any null.
+TEST(ContainmentEngineTest, WorldGrowsOnlyByRenamedVariables) {
+  World world;
+  std::vector<ConjunctiveQuery> queries = Workload(world);
+  queries.push_back(gen::MakeMandatoryCycleQuery(world, 2, "cycle2"));
+  size_t renamed = 0;
+  for (const ConjunctiveQuery& q : queries) renamed += q.Variables().size();
+
+  BatchContainmentOptions options;
+  options.jobs = 4;
+  ContainmentEngine engine(world, options);
+  const uint32_t variables = world.variable_count();
+  const uint32_t nulls = world.null_count();
+  ASSERT_TRUE(engine.AddQueries(queries).ok());
+  ASSERT_TRUE(engine.CheckAllSparse().ok());
+  ASSERT_TRUE(engine.CheckAllSparse().ok());
+  EXPECT_EQ(engine.stats().chases_run, queries.size());
+  EXPECT_GT(engine.chase_of(queries.size() - 1)->stats().fresh_nulls, 0u);
+  EXPECT_EQ(world.variable_count() - variables, renamed);
+  EXPECT_EQ(world.null_count(), nulls);
 }
 
 }  // namespace
