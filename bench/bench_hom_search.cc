@@ -4,14 +4,12 @@
 // fixed q1, reporting visited search nodes alongside wall time.
 //
 // Experiment E11 — the compiled homomorphism kernel (DESIGN.md §9). The
-// same searches are run three ways over a generator-corpus grid:
+// same searches are run two ways over a generator-corpus grid:
 //
-//   * legacy             — the interpreted, map-based matcher
-//                          (use_compiled_kernel = false),
-//   * kernel_no_intersect — compiled pattern + flat binding trail, but
-//                          smallest-list candidate scans,
-//   * kernel             — the production path: compiled pattern, trail,
-//                          and k-way galloping posting-list intersection.
+//   * legacy — the interpreted, map-based matcher, kept as the test oracle
+//              (tests/matcher_oracle.h);
+//   * kernel — the production path: compiled pattern, flat binding trail,
+//              and k-way galloping posting-list intersection.
 //
 // Per configuration the report records wall time (best of several
 // passes), backtracking nodes, index probes, and probes per node; the
@@ -31,6 +29,7 @@
 #include "containment/homomorphism.h"
 #include "datalog/match.h"
 #include "gen/generators.h"
+#include "matcher_oracle.h"
 #include "term/world.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -183,7 +182,7 @@ void MakeWorkload(const CorpusConfig& config, Workload& w) {
 // One pass over every probe of the workload; returns per-pass stats and a
 // bitset-as-counter of verdicts (enumerate_all: total match count).
 RunMetrics OnePass(const Workload& workload, const CorpusConfig& config,
-                   const MatchOptions& options) {
+                   bool oracle) {
   RunMetrics metrics;
   for (const ConjunctiveQuery& probe : workload.probes) {
     if (config.enumerate_all) {
@@ -193,31 +192,37 @@ RunMetrics OnePass(const Workload& workload, const CorpusConfig& config,
       // exact same node set for every configuration under comparison.
       constexpr uint64_t kMatchCap = 20000;
       uint64_t matches = 0;
-      MatchConjunction(
-          probe.body(), workload.chase.conjuncts(), Substitution(),
-          [&](const Substitution&) {
-            return ++matches < kMatchCap;
-          },
-          &metrics.stats, options);
+      auto count = [&](const Substitution&) { return ++matches < kMatchCap; };
+      if (oracle) {
+        OracleMatchConjunction(probe.body(), workload.chase.conjuncts(),
+                               Substitution(), count, &metrics.stats);
+      } else {
+        MatchConjunction(probe.body(), workload.chase.conjuncts(),
+                         Substitution(), count, &metrics.stats);
+      }
       metrics.found += matches;
     } else {
-      if (FindQueryHomomorphism(probe, workload.chase.conjuncts(), {},
-                                &metrics.stats, options)) {
-        ++metrics.found;
-      }
+      const bool found =
+          oracle ? OracleQueryHomomorphism(probe, workload.chase.conjuncts(),
+                                           {}, &metrics.stats)
+                       .has_value()
+                 : FindQueryHomomorphism(probe, workload.chase.conjuncts(),
+                                         {}, &metrics.stats)
+                       .has_value();
+      metrics.found += found;
     }
   }
   return metrics;
 }
 
 RunMetrics TimedRun(const Workload& workload, const CorpusConfig& config,
-                    const MatchOptions& options) {
-  OnePass(workload, config, options);  // warm-up
+                    bool oracle) {
+  OnePass(workload, config, oracle);  // warm-up
   RunMetrics best;
   constexpr int kPasses = 5;
   for (int pass = 0; pass < kPasses; ++pass) {
     auto start = std::chrono::steady_clock::now();
-    RunMetrics metrics = OnePass(workload, config, options);
+    RunMetrics metrics = OnePass(workload, config, oracle);
     auto stop = std::chrono::steady_clock::now();
     metrics.wall_ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
@@ -249,7 +254,7 @@ void WriteKernelReport() {
   json += "{\n  \"experiment\": \"hom_search_kernel\",\n";
   json += "  \"passes\": 5,\n  \"configs\": [\n";
 
-  double log_speedup_sum = 0, log_intersect_sum = 0;
+  double log_speedup_sum = 0;
   int config_count = 0;
   bool all_agree = true;
 
@@ -257,36 +262,24 @@ void WriteKernelReport() {
     Workload workload;
     MakeWorkload(config, workload);
 
-    MatchOptions legacy;
-    legacy.use_compiled_kernel = false;
-    MatchOptions kernel_no_intersect;
-    kernel_no_intersect.use_list_intersection = false;
-    MatchOptions kernel;
-
     // Legacy runs on the unfrozen index — plain posting vectors, the PR 2
-    // storage — then the index is frozen and the kernel runs stream the
+    // storage — then the index is frozen and the kernel streams the
     // block-compressed tier, as the engine does (containment.cc).
-    RunMetrics legacy_run = TimedRun(workload, config, legacy);
+    RunMetrics legacy_run = TimedRun(workload, config, /*oracle=*/true);
     workload.chase.FreezeConjuncts();
-    RunMetrics plain_run = TimedRun(workload, config, kernel_no_intersect);
-    RunMetrics kernel_run = TimedRun(workload, config, kernel);
+    RunMetrics kernel_run = TimedRun(workload, config, /*oracle=*/false);
     FactIndex::StorageStats storage = workload.chase.conjuncts().Stats();
     double bytes_per_posting =
         storage.frozen_postings == 0
             ? 0.0
             : double(storage.arena_bytes) / double(storage.frozen_postings);
 
-    bool agree = legacy_run.found == plain_run.found &&
-                 legacy_run.found == kernel_run.found;
+    bool agree = legacy_run.found == kernel_run.found;
     all_agree = all_agree && agree;
     double speedup = kernel_run.wall_ms > 0
                          ? legacy_run.wall_ms / kernel_run.wall_ms
                          : 0.0;
-    double intersect_gain = kernel_run.wall_ms > 0
-                                ? plain_run.wall_ms / kernel_run.wall_ms
-                                : 0.0;
     log_speedup_sum += std::log(speedup);
-    log_intersect_sum += std::log(intersect_gain);
     ++config_count;
 
     char buffer[512];
@@ -302,29 +295,27 @@ void WriteKernelReport() {
     json += buffer;
     AppendRunJson(json, "legacy", legacy_run);
     json += ",\n";
-    AppendRunJson(json, "kernel_no_intersect", plain_run);
-    json += ",\n";
     AppendRunJson(json, "kernel", kernel_run);
     json += ",\n";
     std::snprintf(buffer, sizeof(buffer),
                   "      \"speedup_kernel_vs_legacy\": %.3f, "
-                  "\"speedup_intersection\": %.3f, "
+                  "\"intersect_nodes\": %llu, "
                   "\"bytes_per_posting_frozen\": %.3f, "
                   "\"verdicts_agree\": %s}",
-                  speedup, intersect_gain, bytes_per_posting,
+                  speedup,
+                  (unsigned long long)kernel_run.stats.intersect_nodes,
+                  bytes_per_posting,
                   agree ? "true" : "false");
     json += buffer;
     json += (&config == &kCorpus[std::size(kCorpus) - 1]) ? "\n" : ",\n";
   }
 
   double geomean = std::exp(log_speedup_sum / config_count);
-  double geomean_intersect = std::exp(log_intersect_sum / config_count);
   char buffer[256];
   std::snprintf(buffer, sizeof(buffer),
                 "  ],\n  \"geomean_speedup_kernel_vs_legacy\": %.3f,\n"
-                "  \"geomean_speedup_intersection\": %.3f,\n"
                 "  \"all_verdicts_agree\": %s\n}\n",
-                geomean, geomean_intersect, all_agree ? "true" : "false");
+                geomean, all_agree ? "true" : "false");
   json += buffer;
 
   std::printf("== E11: compiled kernel vs legacy matcher ==\n%s\n",
@@ -359,14 +350,15 @@ void BM_HomSearch(benchmark::State& state) {
         gen::MakeRandomQuery(world, spec, "probe").RenameApart(world));
   }
 
-  MatchOptions options;
-  options.use_compiled_kernel = compiled;
   size_t i = 0;
   uint64_t nodes = 0;
   for (auto _ : state) {
     MatchStats stats;
-    auto hom = FindQueryHomomorphism(probes[i++ % probes.size()],
-                                     chase.conjuncts(), {}, &stats, options);
+    const ConjunctiveQuery& probe = probes[i++ % probes.size()];
+    auto hom =
+        compiled
+            ? FindQueryHomomorphism(probe, chase.conjuncts(), {}, &stats)
+            : OracleQueryHomomorphism(probe, chase.conjuncts(), {}, &stats);
     benchmark::DoNotOptimize(hom.has_value());
     nodes += stats.nodes_visited;
   }

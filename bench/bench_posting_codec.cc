@@ -6,8 +6,8 @@
 //      dense joins, constants — the regime where the kernel leapfrogs
 //      long posting lists), the compiled kernel streaming the frozen tier
 //      beats the PR 2 baseline (the interpreted matcher over plain
-//      posting vectors, use_compiled_kernel = false on an unfrozen index)
-//      by >= 1.5x geomean wall time.
+//      posting vectors — the test oracle tests/matcher_oracle.h on an
+//      unfrozen index) by >= 1.5x geomean wall time.
 //   2. Space: the frozen tier spends <= 2.0 bytes per posting — at most
 //      half of the 4-byte plain-vector representation.
 //   3. Correctness: zero differential mismatches across every seam —
@@ -39,6 +39,7 @@
 #include "datalog/posting_intersect.h"
 #include "datalog/snapshot.h"
 #include "gen/generators.h"
+#include "matcher_oracle.h"
 #include "term/world.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -223,27 +224,31 @@ struct RunMetrics {
   uint64_t found = 0;
 };
 
-RunMetrics OnePass(const Workload& w, const MatchOptions& options) {
+RunMetrics OnePass(const Workload& w, bool oracle) {
   RunMetrics metrics;
   constexpr uint64_t kMatchCap = 20000;
   for (const ConjunctiveQuery& probe : w.probes) {
     uint64_t matches = 0;
-    MatchConjunction(
-        probe.body(), w.chase.conjuncts(), Substitution(),
-        [&](const Substitution&) { return ++matches < kMatchCap; },
-        /*stats=*/nullptr, options);
+    auto count = [&](const Substitution&) { return ++matches < kMatchCap; };
+    if (oracle) {
+      OracleMatchConjunction(probe.body(), w.chase.conjuncts(),
+                             Substitution(), count);
+    } else {
+      MatchConjunction(probe.body(), w.chase.conjuncts(), Substitution(),
+                       count);
+    }
     metrics.found += matches;
   }
   return metrics;
 }
 
-RunMetrics TimedRun(const Workload& w, const MatchOptions& options) {
-  OnePass(w, options);  // warm-up
+RunMetrics TimedRun(const Workload& w, bool oracle) {
+  OnePass(w, oracle);  // warm-up
   RunMetrics best;
   constexpr int kPasses = 5;
   for (int pass = 0; pass < kPasses; ++pass) {
     auto start = std::chrono::steady_clock::now();
-    RunMetrics metrics = OnePass(w, options);
+    RunMetrics metrics = OnePass(w, oracle);
     auto stop = std::chrono::steady_clock::now();
     metrics.wall_ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
@@ -282,16 +287,13 @@ void WriteReport() {
     Workload workload;
     MakeWorkload(config, scale, workload);
 
-    MatchOptions legacy;  // PR 2 baseline: interpreted matcher...
-    legacy.use_compiled_kernel = false;
-    MatchOptions kernel;  // ...vs the kernel on the frozen tier.
-
-    // Legacy times against the unfrozen plain-vector storage, then the
-    // index is frozen (as the engine does between chase and search) and
-    // the kernel streams the compressed tier.
-    RunMetrics legacy_run = TimedRun(workload, legacy);
+    // PR 2 baseline: the interpreted matcher (the oracle) times against
+    // the unfrozen plain-vector storage, then the index is frozen (as the
+    // engine does between chase and search) and the kernel streams the
+    // compressed tier.
+    RunMetrics legacy_run = TimedRun(workload, /*oracle=*/true);
     workload.chase.FreezeConjuncts();
-    RunMetrics kernel_run = TimedRun(workload, kernel);
+    RunMetrics kernel_run = TimedRun(workload, /*oracle=*/false);
 
     FactIndex::StorageStats storage = workload.chase.conjuncts().Stats();
     const double bytes_per_posting =
@@ -343,13 +345,15 @@ void WriteReport() {
       (unsigned long long)snapshot_mismatches, all_agree ? "true" : "false");
   json += buffer;
 
-  std::printf("== E15: block-compressed posting storage ==\n%s\n",
-              json.c_str());
+  // stdout carries the report alone, so it parses as JSON (the CI smoke
+  // gate reads it); the banners go to stderr.
+  std::fprintf(stderr, "== E15: block-compressed posting storage ==\n");
+  std::fputs(json.c_str(), stdout);
   std::FILE* file = std::fopen("BENCH_posting_codec.json", "w");
   FLOQ_CHECK(file != nullptr);
   std::fputs(json.c_str(), file);
   std::fclose(file);
-  std::printf("(report written to BENCH_posting_codec.json)\n\n");
+  std::fprintf(stderr, "(report written to BENCH_posting_codec.json)\n");
 }
 
 // ---- google-benchmark timers ------------------------------------------------

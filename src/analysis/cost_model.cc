@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "containment/containment.h"
 #include "util/strings.h"
 
 namespace floq::analysis {
@@ -57,12 +58,10 @@ ChaseGrowthModel FitChaseGrowth(const ChaseResult& probe) {
   return model;
 }
 
-namespace {
-
-TargetProfile ProfileIndex(const FactIndex& index,
-                           ChaseGrowthModel growth) {
+TargetProfile ProfileTarget(const ChaseResult& probe) {
+  const FactIndex& index = probe.conjuncts();
   TargetProfile profile;
-  profile.growth = growth;
+  profile.growth = FitChaseGrowth(probe);
   // One pass over the atoms discovers which (pred, position, constant)
   // keys exist; the FactIndex stat accessors then price each of them.
   std::set<PredicateId> predicates;
@@ -95,20 +94,6 @@ TargetProfile ProfileIndex(const FactIndex& index,
         index.CountWithArgument(pred, pos, term);
   }
   return profile;
-}
-
-}  // namespace
-
-TargetProfile ProfileTarget(const ChaseResult& probe) {
-  return ProfileIndex(probe.conjuncts(), FitChaseGrowth(probe));
-}
-
-TargetProfile ProfileFacts(const FactIndex& facts) {
-  ChaseGrowthModel growth;
-  growth.completed = true;
-  growth.level0_atoms = facts.size();
-  growth.probe_atoms = facts.size();
-  return ProfileIndex(facts, growth);
 }
 
 PatternProfile ProfilePattern(const ConjunctiveQuery& query) {
@@ -254,7 +239,7 @@ QueryCostReport AnalyzeQueryCost(World& world, const ConjunctiveQuery& query,
   TargetProfile target = ProfileTarget(probe);
   PatternProfile pattern = ProfilePattern(query);
   report.estimate =
-      EstimatePairCost(target, pattern, TheoremTwelveLevel(query, query),
+      EstimatePairCost(target, pattern, PaperLevelBound(query, query),
                        options.chase_atom_budget);
   report.boundedness = AnalyzeSigmaBoundedness(world, query.body());
 

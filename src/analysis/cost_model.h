@@ -25,10 +25,9 @@
 // (a completed probe makes AtomsAtLevel exact — the chase reached its
 // fixpoint, deeper levels add nothing) or an explicitly confidence-tagged
 // extrapolation (geometric growth continued past the probe horizon). The
-// consumers never let an estimate change a verdict: the engine only
-// *reorders* pairs by it (use_cost_scheduling), and budget calibration
-// (ResourceBudget::FromEstimate) only ever *raises* a pair's step budget,
-// so kUnknown verdicts can only decrease.
+// consumers are analysis only — the FLD201–203 lints and `floq analyze` —
+// so an estimate never touches a verdict: the containment engine does not
+// read it.
 
 namespace floq::analysis {
 
@@ -95,13 +94,9 @@ struct TargetProfile {
   }
 };
 
-/// Profiles a probe chase (the engine's registration probe doubles as the
-/// sample).
+/// Profiles a probe chase (a level-bounded ChaseQuery or ResumableChase
+/// prefix).
 TargetProfile ProfileTarget(const ChaseResult& probe);
-
-/// Profiles a plain fact set (ChaseDepth::kNone targets, KB fact bases):
-/// an exact, completed "growth" model over the facts as they stand.
-TargetProfile ProfileFacts(const FactIndex& facts);
 
 /// Pattern-side join shape of one query used as a right-hand side: its
 /// body atoms plus the variable-connectivity component count (components
@@ -129,8 +124,8 @@ struct CostEstimate {
   double confidence = 1.0;
 
   /// Scalar ranking cost (chase conjuncts + hom nodes, both roughly
-  /// "operations"): the scheduling key. Order-preserving in either
-  /// component; the absolute value has no unit.
+  /// "operations"). Order-preserving in either component; the absolute
+  /// value has no unit.
   double Scalar() const {
     return double(chase_atoms_bound) + hom_fanout_bound;
   }
@@ -141,14 +136,6 @@ struct CostEstimate {
 CostEstimate EstimatePairCost(const TargetProfile& target,
                               const PatternProfile& pattern, int level,
                               uint64_t atom_cap);
-
-/// Theorem 12's level cap |q2| * 2|q1|, restated here so this library
-/// stays below floq_containment in the link order (PaperLevelBound in
-/// containment.h computes the identical number).
-inline int TheoremTwelveLevel(const ConjunctiveQuery& q1,
-                              const ConjunctiveQuery& q2) {
-  return q2.size() * 2 * q1.size();
-}
 
 /// FLD201: the dependency set is weakly acyclic but its null generation
 /// is polynomial of degree >= 2 — the chase terminates yet can blow up

@@ -249,16 +249,13 @@ class ChaseEngine {
   }
 
   bool ApplyExistential(const PendingExistential& p) {
-    if (options_.restricted_rho5) {
-      // Re-check the restriction against the current instance: an earlier
-      // application in this batch may have supplied the data conjunct.
-      if (uint32_t blocker = FindDataFor(p.object, p.attr);
-          blocker != kInvalidFactId) {
-        RecordCrossArcs({p.parent}, blocker, kRho5);
-        return true;
-      }
+    // Re-check the restriction against the current instance: an earlier
+    // application in this batch may have supplied the data conjunct.
+    if (uint32_t blocker = FindDataFor(p.object, p.attr);
+        blocker != kInvalidFactId) {
+      RecordCrossArcs({p.parent}, blocker, kRho5);
+      return true;
     }
-    rho5_fired_.insert({p.object, p.attr});
     Term fresh = Term::Null(next_null_++);
     ++result_.stats_.fresh_nulls;
     return InsertNode(Atom::Data(p.object, p.attr, fresh), p.level, kRho5,
@@ -383,14 +380,10 @@ class ChaseEngine {
       Term attr = atom.arg(0);
       Term object = atom.arg(1);
       if (!seen.insert({object, attr}).second) return;
-      if (options_.restricted_rho5) {
-        uint32_t blocker = FindDataFor(object, attr);
-        if (blocker != kInvalidFactId) {
-          RecordCrossArcs({id}, blocker, kRho5);
-          return;
-        }
-      } else if (rho5_fired_.count({object, attr}) > 0) {
-        return;  // oblivious: fire once per (object, attribute) pair
+      if (uint32_t blocker = FindDataFor(object, attr);
+          blocker != kInvalidFactId) {
+        RecordCrossArcs({id}, blocker, kRho5);
+        return;
       }
       pending.push_back(PendingExistential{object, attr, id,
                                            result_.meta_[id].level + 1});
@@ -487,11 +480,6 @@ class ChaseEngine {
       arc.to = remap[arc.to];
     }
     for (Term& t : result_.head_) t = uf_.Find(t);
-    std::set<std::pair<Term, Term>> fired;
-    for (const auto& [object, attr] : rho5_fired_) {
-      fired.insert({uf_.Find(object), uf_.Find(attr)});
-    }
-    rho5_fired_ = std::move(fired);
 
     result_.max_level_ = 0;
     for (const ChaseNodeMeta& meta : result_.meta_) {
@@ -538,8 +526,6 @@ class ChaseEngine {
   bool preliminary_done_ = false;
   bool full_recheck_ = true;
   std::set<std::pair<uint64_t, RuleId>> cross_seen_;
-  // (object, attribute) pairs rho_5 has fired for (oblivious mode).
-  std::set<std::pair<Term, Term>> rho5_fired_;
 };
 
 void FoldChaseMetrics(const ChaseStats& before, const ChaseStats& after,

@@ -18,7 +18,9 @@
 // (Definition 2 of the paper), organized as in Section 4: a terminating
 // preliminary phase with Sigma_FL^- = Sigma_FL - {rho_5} whose conjuncts
 // all sit at level 0, followed by the (possibly infinite) cyclic phase in
-// which rho_5 invents fresh nulls and levels grow. The engine materializes
+// which rho_5 invents fresh nulls and levels grow. The chase is the
+// paper's *restricted* one: rho_5 fires only when no data(O, A, ·)
+// conjunct exists yet (Definition 2(2)(ii)). The engine materializes
 // the chase breadth-first, level by level, up to a caller-supplied level
 // cap — Theorem 12 shows the cap |q2| * 2|q1| suffices for containment.
 //
@@ -62,14 +64,6 @@ struct ChaseOptions {
   /// rescans the whole instance every round — kept for the ablation
   /// benchmark bench_ablation.
   bool use_delta_windows = true;
-  /// The paper's chase is *restricted*: rho_5 fires only when no
-  /// data(O, A, ·) conjunct exists (Definition 2(2)(ii)). Setting this to
-  /// false gives the *oblivious* chase of the later Datalog± literature:
-  /// rho_5 fires exactly once per mandatory(A, O) fact regardless of
-  /// existing values. The oblivious chase is a superset of the restricted
-  /// one and remains sound for containment; it is exposed for study and
-  /// comparison, not used by CheckContainment.
-  bool restricted_rho5 = true;
   /// Optional resource governor (not owned; must outlive the run). Checked
   /// at round boundaries and ticked per inserted conjunct; a trip stops
   /// the run with ChaseOutcome::kInterrupted. One-shot entry points

@@ -19,9 +19,7 @@
 //   * no Sigma_FL^- "everything at level 0" phase — levels count from the
 //     initial conjuncts uniformly;
 //   * ChaseNodeMeta::rule is RuleId(1000 + i) for tgds[i] (and kRho0 for
-//     initial conjuncts); cross-arcs are not recorded;
-//   * only the restricted semantics is implemented
-//     (ChaseOptions::restricted_rho5 is ignored).
+//     initial conjuncts); cross-arcs are not recorded.
 
 namespace floq {
 

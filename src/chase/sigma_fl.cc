@@ -1,5 +1,7 @@
 #include "chase/sigma_fl.h"
 
+#include <string>
+
 namespace floq {
 
 SigmaFL MakeSigmaFL(World& world) {
@@ -7,19 +9,23 @@ SigmaFL MakeSigmaFL(World& world) {
 
   // Rule variables must never coincide with variables of chased queries
   // (chase conjuncts carry query variables as values, and the matcher
-  // binds pattern variables syntactically). Reserved "$R<n>" names can
-  // never be parsed, so one instance serves any number of chases: the
-  // batch engine builds one and shares it read-only across its handles.
-  Term o = world.MakeReservedVariable();
-  Term a = world.MakeReservedVariable();
-  Term t = world.MakeReservedVariable();
-  Term t1 = world.MakeReservedVariable();
-  Term v = world.MakeReservedVariable();
-  Term w = world.MakeReservedVariable();
-  Term c = world.MakeReservedVariable();
-  Term c1 = world.MakeReservedVariable();
-  Term c2 = world.MakeReservedVariable();
-  Term c3 = world.MakeReservedVariable();
+  // binds pattern variables syntactically). "$S<k>" names can never be
+  // parsed, and MakeReservedVariable's "$R<n>" counter never produces
+  // them, so every call interns the same ten variables: a World that runs
+  // any number of one-shot chases grows by ten variables once.
+  auto rule_variable = [&](char k) {
+    return world.MakeVariable(std::string("$S") + k);
+  };
+  Term o = rule_variable('0');
+  Term a = rule_variable('1');
+  Term t = rule_variable('2');
+  Term t1 = rule_variable('3');
+  Term v = rule_variable('4');
+  Term w = rule_variable('5');
+  Term c = rule_variable('6');
+  Term c1 = rule_variable('7');
+  Term c2 = rule_variable('8');
+  Term c3 = rule_variable('9');
 
   // rho_1: member(V,T) :- type(O,A,T), data(O,A,V).
   sigma.tgds.push_back(

@@ -73,10 +73,10 @@ struct SigmaFL {
   SigmaExistential existential;  // rho_5
 };
 
-/// Builds Sigma_FL. The rule variables are fresh reserved variables of
-/// `world` (they never collide with query variables because matching binds
-/// them through explicit substitutions only). Each call interns ten new
-/// names, so callers that chase many queries build one and share it.
+/// Builds Sigma_FL. The rule variables are ten fixed reserved variables
+/// of `world` ("$S0".."$S9", names no parser produces), so they never
+/// collide with query variables, and a second call on the same World
+/// returns the same rules over the same variables.
 SigmaFL MakeSigmaFL(World& world);
 
 /// The Datalog fragment Sigma_FL minus {rho_4, rho_5} as plain rules, for

@@ -141,8 +141,8 @@ Result<ContainmentResult> CheckContainment(World& world,
   result.chase.FreezeConjuncts();
   ExecGovernor hom_governor(anchored, &options.budget.cancel,
                             options.budget.hom_step_budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
+  MatchOptions match;
+  if (governed) match.governor = &hom_governor;
 
   // q2's variables must be disjoint from the values of chase(q1) (which
   // include q1's variables): rename apart, search, then express the
@@ -154,9 +154,7 @@ Result<ContainmentResult> CheckContainment(World& world,
       FindQueryHomomorphism(q2_fresh, result.chase.conjuncts(),
                             result.chase.head(), &result.hom_stats, match);
   result.hom_ms = MsSince(hom_start);
-  // Only the stage-local governor is folded: a caller-supplied shared
-  // governor accumulates steps across calls and would double-count.
-  if (match.governor == &hom_governor) FoldGovernorMetrics(hom_governor);
+  if (governed) FoldGovernorMetrics(hom_governor);
   if (hom.has_value()) {
     result.witness = renaming.ComposeWith(*hom);
     MarkContained(result);
@@ -179,8 +177,8 @@ Result<ContainmentResult> CheckClassicalContainment(
 
   const bool governed = !options.budget.unlimited();
   ExecGovernor hom_governor = MakeHomGovernor(options.budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
+  MatchOptions match;
+  if (governed) match.governor = &hom_governor;
 
   ContainmentResult result;
   result.level_bound = -1;
@@ -193,7 +191,7 @@ Result<ContainmentResult> CheckClassicalContainment(
       FindQueryHomomorphism(q2_fresh, target, q1.head(), &result.hom_stats,
                             match);
   result.hom_ms = MsSince(hom_start);
-  if (match.governor == &hom_governor) FoldGovernorMetrics(hom_governor);
+  if (governed) FoldGovernorMetrics(hom_governor);
   if (hom.has_value()) {
     result.witness = renaming.ComposeWith(*hom);
     MarkContained(result);
@@ -265,8 +263,8 @@ Result<std::optional<size_t>> CheckUcqContainment(
   chase.FreezeConjuncts();
   ExecGovernor hom_governor(anchored, &options.budget.cancel,
                             options.budget.hom_step_budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
+  MatchOptions match;
+  if (governed) match.governor = &hom_governor;
 
   for (size_t i = 0; i < disjuncts.size(); ++i) {
     ConjunctiveQuery fresh = disjuncts[i].RenameApart(world);
@@ -343,8 +341,8 @@ Result<ContainmentResult> CheckContainmentUnderDependencies(
   result.chase.FreezeConjuncts();
   ExecGovernor hom_governor(anchored, &options.budget.cancel,
                             options.budget.hom_step_budget);
-  MatchOptions match = options.match;
-  if (governed && match.governor == nullptr) match.governor = &hom_governor;
+  MatchOptions match;
+  if (governed) match.governor = &hom_governor;
 
   Substitution renaming;
   ConjunctiveQuery q2_fresh = q2.RenameApart(world, &renaming);
@@ -353,7 +351,7 @@ Result<ContainmentResult> CheckContainmentUnderDependencies(
       FindQueryHomomorphism(q2_fresh, result.chase.conjuncts(),
                             result.chase.head(), &result.hom_stats, match);
   result.hom_ms = MsSince(hom_start);
-  if (match.governor == &hom_governor) FoldGovernorMetrics(hom_governor);
+  if (governed) FoldGovernorMetrics(hom_governor);
   if (hom.has_value()) {
     result.witness = renaming.ComposeWith(*hom);
     MarkContained(result);

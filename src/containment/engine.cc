@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <numeric>
 #include <optional>
 #include <utility>
 
-#include "analysis/cost_model.h"
 #include "containment/homomorphism.h"
 #include "util/metrics.h"
 #include "util/request_context.h"
@@ -44,13 +42,17 @@ struct ContainmentEngine::Entry {
   // Stage-0 prefilter signature, computed once at registration from the
   // probe chase (absent when use_signature_index is off).
   std::optional<ClosureSignature> signature;
-  // Cost-model profiles (use_cost_scheduling only): the query's probe
-  // statistics as a chase target and its join shape as a hom pattern.
-  // Registration-time snapshots — the scheduler never touches the live
-  // chase index.
-  std::optional<analysis::TargetProfile> target_profile;
-  std::optional<analysis::PatternProfile> pattern_profile;
 };
+
+namespace {
+
+// Chase levels the registration-time signature probe materializes
+// (ChaseDepth::kPaperBound; level-0 mode probes level 0). A completed
+// probe makes the closure signature exact; an inconclusive one falls back
+// to the static Sigma_FL closure.
+constexpr int kSignatureProbeLevels = 2;
+
+}  // namespace
 
 ContainmentEngine::ContainmentEngine(World& world,
                                      const BatchContainmentOptions& options)
@@ -87,13 +89,12 @@ Result<size_t> ContainmentEngine::AddQueries(
     entries_.push_back(std::move(entry));
   }
   const ContainmentOptions& copts = options_.containment;
-  const bool probe = (copts.use_signature_index || copts.use_cost_scheduling) &&
-                     copts.depth != ChaseDepth::kNone;
+  const bool probe =
+      copts.use_signature_index && copts.depth != ChaseDepth::kNone;
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
-  const int probe_level = copts.depth == ChaseDepth::kLevelZero
-                              ? 0
-                              : std::max(copts.signature_probe_levels, 0);
+  const int probe_level =
+      copts.depth == ChaseDepth::kLevelZero ? 0 : kSignatureProbeLevels;
   // The governors borrow the token, so it must outlive them.
   const CancellationToken engine_token = cancel_source_.token();
   std::vector<ExecGovernor> governors(probe ? queries.size() : 0);
@@ -108,8 +109,7 @@ Result<size_t> ContainmentEngine::AddQueries(
       // every later pair with this query on the left. It runs under the
       // same governed budget as a pair's chase stage, so a runaway query
       // cannot stall registration; an inconclusive probe just degrades
-      // the signature to the static closure (and the cost fit to a wider
-      // extrapolation).
+      // the signature to the static closure.
       ExecGovernor& governor = governors[k];
       governor = MakeChaseGovernor(copts.budget);
       governor.AddCancellation(&engine_token);
@@ -119,19 +119,6 @@ Result<size_t> ContainmentEngine::AddQueries(
     if (copts.use_signature_index) {
       entry.signature =
           ComputeClosureSignature(entry.query, copts.depth, probe_result);
-    }
-    if (copts.use_cost_scheduling) {
-      // The rhs pattern is the renamed copy — the one the hom search
-      // actually runs — though only its shape matters here.
-      entry.pattern_profile = analysis::ProfilePattern(entry.renamed);
-      if (probe_result != nullptr) {
-        entry.target_profile = analysis::ProfileTarget(*probe_result);
-      } else {
-        // kNone mode: the target is body(q) verbatim, an exact "chase".
-        FactIndex body;
-        for (const Atom& atom : entry.query.body()) body.Insert(atom);
-        entry.target_profile = analysis::ProfileFacts(body);
-      }
     }
   });
   for (const ExecGovernor& governor : governors) FoldGovernorMetrics(governor);
@@ -221,10 +208,10 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
   //
   // A failed subset test (signature.h) is a sound definite kNotContained:
   // the pair skips both expensive stages entirely and never enters the
-  // survivor list, so every later phase — schedule, chase, fan-out,
-  // accounting — iterates only the survivors. Slices run in parallel, in
-  // a count pass and then a fill pass that writes each slice's survivors
-  // at its offset in the exactly-sized out.pairs. Each count pass has its
+  // survivor list, so every later phase — chase, fan-out, accounting —
+  // iterates only the survivors. Slices run in parallel, in a count pass
+  // and then a fill pass that writes each slice's survivors at its offset
+  // in the exactly-sized out.pairs. Each count pass has its
   // own governor over the stage's one anchored deadline. Once it trips,
   // pruning STOPS for the rest of the slice and every remaining pair
   // survives into the governed chase/hom stages, which degrade it to
@@ -343,56 +330,13 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
   // can): consumed by the hom phase to settle negatives.
   std::vector<TripReason> chase_trips(survivors, TripReason::kNone);
 
-  // ---- cost-ordered schedule ---------------------------------------------
-  //
-  // With use_cost_scheduling on, both remaining phases iterate the
-  // survivors through a permutation sorted by predicted cost ascending
-  // (analysis/cost_model.h): cheap verdicts land first, and a runaway
-  // pair's budget trip cannot starve them. The estimate never touches a
-  // verdict — only the visit order and (below) the hom step budget, which
-  // calibration can only raise. Unscheduled batches leave `order` empty
-  // and visit the survivors in list order.
-  std::vector<size_t> order;
-  std::vector<double> pair_cost;
-  double mean_cost = 0.0;
-  if (copts.use_cost_scheduling && survivors > 0) {
-    const SteadyClock::time_point cost_start = SteadyClock::now();
-    pair_cost.assign(survivors, 0.0);
-    uint64_t costed = 0;
-    for (size_t s = 0; s < survivors; ++s) {
-      const Entry& l = *entries_[pairs[s].first];
-      const Entry& r = *entries_[pairs[s].second];
-      if (!l.target_profile.has_value() || !r.pattern_profile.has_value()) {
-        continue;
-      }
-      int level = 0;
-      if (copts.depth == ChaseDepth::kPaperBound) {
-        level = copts.level_override >= 0
-                    ? copts.level_override
-                    : PaperLevelBound(l.query, r.query);
-      }
-      const analysis::CostEstimate estimate = analysis::EstimatePairCost(
-          *l.target_profile, *r.pattern_profile, level, copts.max_chase_atoms);
-      pair_cost[s] = estimate.Scalar();
-      verdicts[s].predicted_cost = pair_cost[s];
-      mean_cost += pair_cost[s];
-      ++costed;
-    }
-    if (costed > 0) mean_cost /= double(costed);
-    order.resize(survivors);
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return pair_cost[a] < pair_cost[b];
-    });
-    stats_.cost_us += MsSince(cost_start) * 1000.0;
-  }
-
   // ---- sequential phase: build / deepen the shared targets ---------------
   //
   // Everything that mutates a cache entry happens here, on the calling
-  // thread. The workers below only read. Each pair with chase work to do gets its own governor with
-  // a freshly anchored timeout (per-pair isolation): a runaway chase trips
-  // its own deadline, and the next pair starts with a full budget again.
+  // thread. The workers below only read. Each pair with chase work to do
+  // gets its own governor with a freshly anchored timeout (per-pair
+  // isolation): a runaway chase trips its own deadline, and the next pair
+  // starts with a full budget again.
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
   // Settles a pair whose lhs chase is materialized.
@@ -410,8 +354,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
     chase_trips[s] = trip;
     phase[s] |= kNeedsSearch;
   };
-  for (size_t ord = 0; ord < survivors; ++ord) {
-    const size_t s = order.empty() ? ord : order[ord];
+  for (size_t s = 0; s < survivors; ++s) {
     const auto& [lhs, rhs] = pairs[s];
     Entry& l = *entries_[lhs];
     PairVerdict& verdict = verdicts[s];
@@ -503,20 +446,8 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
   const SteadyClock::time_point fanout_start = SteadyClock::now();
   auto run_pair_inner = [&](size_t s) {
     PairVerdict& verdict = verdicts[s];
-    // Budget calibration: an expensive-predicted pair gets a raised hom
-    // step budget (never lowered — see ResourceBudget::FromEstimate), so
-    // step-budget kUnknowns can only decrease relative to the flat knob.
-    // Runs on worker threads: stats_ is not touched here (the
-    // calibrated-pair count is folded in the post-join accounting loop).
-    // Only the step budget varies per pair; the budget itself is not
-    // copied on the default, unscheduled path.
-    const uint64_t steps =
-        copts.use_cost_scheduling && s < pair_cost.size()
-            ? ResourceBudget::FromEstimate(budget, pair_cost[s], mean_cost)
-                  .hom_step_budget
-            : budget.hom_step_budget;
     ExecGovernor hom_governor(AnchorDeadline(budget), &budget.cancel,
-                              steps);
+                              budget.hom_step_budget);
     hom_governor.AddCancellation(&engine_token);
     if (!hom_governor.CheckNow()) {
       FoldGovernorMetrics(hom_governor);
@@ -537,7 +468,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
     const std::vector<Term>& target_head = copts.depth == ChaseDepth::kNone
                                                ? l.query.head()
                                                : l.chase->result().head();
-    MatchOptions match = copts.match;
+    MatchOptions match;
     match.governor = &hom_governor;
     bool found = FindQueryHomomorphism(r.renamed, target, target_head,
                                        &verdict.hom_stats, match)
@@ -578,11 +509,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
     }
   };
 
-  // ParallelFor claims indices in ascending chunks, so dispatching through
-  // `order` makes workers pick the cheapest-predicted pairs up first.
-  RunParallel(survivors, [&](size_t ord) {
-    run_pair(order.empty() ? ord : order[ord]);
-  });
+  RunParallel(survivors, run_pair);
 
   // The fan-out has joined; a later CheckPairs call on this engine may
   // legally deepen the handles again.
@@ -612,13 +539,6 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
       continue;
     }
     stats_.hom.Accumulate(verdict.hom_stats);
-    if (copts.use_cost_scheduling && budget.hom_step_budget > 0 &&
-        (phase[s] & kNeedsSearch) != 0 && s < pair_cost.size() &&
-        pair_cost[s] > mean_cost && mean_cost > 0.0) {
-      // Mirrors the FromEstimate condition in run_pair_inner (ratio > 1),
-      // counted here because workers must not touch stats_.
-      ++stats_.budget_calibrated_pairs;
-    }
     if ((phase[s] & kChaseTimed) != 0) {
       stats_.chase_stage.Record(verdict.chase_ms);
     }

@@ -66,11 +66,8 @@ void CompiledPattern::Compile(std::span<const Atom> pattern,
         // of distinct variables, and this runs once per search (a hash
         // map's allocation costs more than the scan saves).
         auto it = std::find(slot_vars_.begin(), slot_vars_.end(), arg);
-        uint16_t slot = uint16_t(it - slot_vars_.begin());
-        if (it == slot_vars_.end()) {
-          FLOQ_CHECK_LT(slot_vars_.size(), size_t(UINT16_MAX));
-          slot_vars_.push_back(arg);
-        }
+        uint32_t slot = uint32_t(it - slot_vars_.begin());
+        if (it == slot_vars_.end()) slot_vars_.push_back(arg);
         slot_arg.kind = CompiledArg::Kind::kSlot;
         slot_arg.slot = slot;
         for (int j = 0; j < i; ++j) {
@@ -145,26 +142,27 @@ struct KernelScratch {
   std::vector<uint64_t> slot_version;
   std::vector<AtomCache> cache;
   std::vector<Term> emitted;
-  std::vector<uint16_t> remaining;
+  std::vector<uint32_t> remaining;
   bool in_use = false;
 };
 
 // The trail-based backtracking search over a compiled pattern. Mirrors
-// the legacy Matcher in match.cc node for node (same dynamic atom
-// ordering, same candidate semantics) so the two enumerate identical
-// match sets — asserted by tests/kernel_test.cc.
+// the map-based matcher it replaced (kept as the test oracle
+// tests/matcher_oracle.h) node for node — same dynamic atom ordering,
+// same candidate semantics — so the two enumerate identical match sets,
+// asserted by tests/kernel_test.cc.
 class CompiledMatcher {
  public:
   CompiledMatcher(const CompiledPattern& pattern, const FactIndex& index,
                   const Substitution& initial,
                   FunctionRef<bool(const Substitution&)> on_match,
-                  MatchStats* stats, const MatchOptions& options,
+                  MatchStats* stats, ExecGovernor* governor,
                   KernelScratch& scratch)
       : pattern_(pattern),
         index_(index),
         on_match_(on_match),
         stats_(stats),
-        options_(options),
+        governor_(governor),
         trail_(scratch.trail),
         slot_version_(scratch.slot_version),
         cache_(scratch.cache),
@@ -179,7 +177,7 @@ class CompiledMatcher {
     emitted_.assign(num_slots, Term());
     remaining_.clear();
     remaining_.reserve(num_atoms);
-    for (size_t i = 0; i < num_atoms; ++i) remaining_.push_back(uint16_t(i));
+    for (size_t i = 0; i < num_atoms; ++i) remaining_.push_back(uint32_t(i));
   }
 
   bool Run() { return Recurse(); }
@@ -194,7 +192,7 @@ class CompiledMatcher {
     return v;
   }
 
-  void Refresh(uint16_t atom_index, uint64_t version) {
+  void Refresh(uint32_t atom_index, uint64_t version) {
     const CompiledAtom& atom = pattern_.atoms()[atom_index];
     AtomCache& cache = cache_[atom_index];
     cache.version = version;
@@ -235,13 +233,13 @@ class CompiledMatcher {
     cache.best_size = uint32_t(best->size());
   }
 
-  void BindSlot(uint16_t slot, Term value) {
+  void BindSlot(uint32_t slot, Term value) {
     trail_.Bind(slot, value);
     ++slot_version_[slot];
   }
 
   void UndoToMark(size_t mark) {
-    const std::vector<uint16_t>& trail = trail_.trail();
+    const std::vector<uint32_t>& trail = trail_.trail();
     for (size_t i = mark; i < trail.size(); ++i) ++slot_version_[trail[i]];
     trail_.UndoTo(mark);
   }
@@ -273,10 +271,10 @@ class CompiledMatcher {
   // the previously emitted assignment turns the per-match cost from
   // "rebuild a hash map" into a slot-array scan plus a hash update per
   // *changed* slot. Callbacks see the same aliasing contract as the
-  // legacy matcher's live substitution: valid for the duration of the
+  // matcher oracle's live substitution: valid for the duration of the
   // call, copy to retain.
   const Substitution& Materialize() {
-    for (uint16_t slot = 0; slot < uint16_t(emitted_.size()); ++slot) {
+    for (uint32_t slot = 0; slot < uint32_t(emitted_.size()); ++slot) {
       Term value = trail_.Get(slot);
       if (emitted_[slot] != value) {
         emit_.Bind(pattern_.slot_var(slot), value);
@@ -291,9 +289,7 @@ class CompiledMatcher {
     // A governor trip unwinds exactly like a callback stop (every frame
     // undoes its trail mark); the caller distinguishes the two by
     // inspecting governor->tripped().
-    if (options_.governor != nullptr && !options_.governor->Tick()) {
-      return false;
-    }
+    if (governor_ != nullptr && !governor_->Tick()) return false;
     if (remaining_.empty()) {
       if (stats_ != nullptr) ++stats_->matches_found;
       return on_match_(Materialize());
@@ -302,30 +298,22 @@ class CompiledMatcher {
     // Most-constrained-first over *cached* candidate counts: only atoms
     // whose slots changed since their last estimate re-probe the index.
     size_t best_slot = 0;
-    if (options_.most_constrained_first) {
-      uint32_t best_count = UINT32_MAX;
-      for (size_t slot = 0; slot < remaining_.size(); ++slot) {
-        uint16_t atom_index = remaining_[slot];
-        uint64_t version = VersionOf(pattern_.atoms()[atom_index]);
-        if (cache_[atom_index].version != version) {
-          Refresh(atom_index, version);
-        }
-        uint32_t count = cache_[atom_index].best_size;
-        if (count < best_count) {
-          best_count = count;
-          best_slot = slot;
-          if (count == 0) return true;  // dead end, enumerate siblings
-        }
-      }
-    } else {
-      uint16_t atom_index = remaining_[0];
+    uint32_t best_count = UINT32_MAX;
+    for (size_t slot = 0; slot < remaining_.size(); ++slot) {
+      uint32_t atom_index = remaining_[slot];
       uint64_t version = VersionOf(pattern_.atoms()[atom_index]);
       if (cache_[atom_index].version != version) {
         Refresh(atom_index, version);
       }
+      uint32_t count = cache_[atom_index].best_size;
+      if (count < best_count) {
+        best_count = count;
+        best_slot = slot;
+        if (count == 0) return true;  // dead end, enumerate siblings
+      }
     }
 
-    uint16_t atom_index = remaining_[best_slot];
+    uint32_t atom_index = remaining_[best_slot];
     remaining_.erase(remaining_.begin() + best_slot);
     const CompiledAtom& atom = pattern_.atoms()[atom_index];
     const AtomCache& cache = cache_[atom_index];
@@ -340,8 +328,7 @@ class CompiledMatcher {
     PostingCursor driver(cache.best);
     std::array<PostingCursor, kMaxArity> others;
     size_t num_others = 0;
-    if (options_.use_list_intersection && cache.num_lists >= 2 &&
-        cache.best_size > kIntersectCutoff) {
+    if (cache.num_lists >= 2 && cache.best_size > kIntersectCutoff) {
       for (uint8_t i = 0; i < cache.num_lists; ++i) {
         if (int8_t(i) == cache.best_index) continue;
         others[num_others++] = PostingCursor(cache.lists[i]);
@@ -356,7 +343,7 @@ class CompiledMatcher {
     // and the governor's member state is touched once per kGovernorBatch
     // iterations (still far finer than its kStride clock amortization).
     constexpr uint32_t kGovernorBatch = 64;
-    ExecGovernor* const governor = options_.governor;
+    ExecGovernor* const governor = governor_;
     uint32_t governor_countdown = kGovernorBatch;
     bool keep_going = true;
     while (!driver.AtEnd()) {
@@ -410,7 +397,7 @@ class CompiledMatcher {
   const FactIndex& index_;
   FunctionRef<bool(const Substitution&)> on_match_;
   MatchStats* stats_;
-  MatchOptions options_;
+  ExecGovernor* governor_;
   // Search state, borrowed from the per-thread KernelScratch.
   BindingTrail& trail_;
   std::vector<uint64_t>& slot_version_;
@@ -419,7 +406,7 @@ class CompiledMatcher {
   // callback and, per slot, the value it held then (invalid = never).
   Substitution emit_;
   std::vector<Term>& emitted_;
-  std::vector<uint16_t>& remaining_;
+  std::vector<uint32_t>& remaining_;
 };
 
 }  // namespace
@@ -443,7 +430,7 @@ bool MatchCompiled(std::span<const Atom> pattern, const FactIndex& index,
     return true;  // no matches, not stopped early
   }
   return CompiledMatcher(scratch.pattern, index, initial, on_match, stats,
-                         options, scratch)
+                         options.governor, scratch)
       .Run();
 }
 

@@ -24,12 +24,11 @@ struct MatchStats {
   uint64_t nodes_visited = 0;   // backtracking nodes expanded
   uint64_t matches_found = 0;
   /// FactIndex posting-list probes (WithArgument lookups), including the
-  /// compile-time probes of the compiled kernel. The per-node probe count
-  /// is the metric the kernel's selectivity cache attacks; reported by
-  /// bench_hom_search.
+  /// kernel's compile-time probes. The per-node probe count is the metric
+  /// the kernel's selectivity cache attacks; reported by bench_hom_search.
   uint64_t index_probes = 0;
   /// Backtracking nodes where the kernel ran a k-way posting-list
-  /// intersection (vs scanning the single driver list). Kernel path only.
+  /// intersection (vs scanning the single driver list).
   uint64_t intersect_nodes = 0;
   /// Galloping skips taken inside those intersections: each is a binary
   /// search that advanced a non-driver list past a candidate.
@@ -49,20 +48,6 @@ struct MatchStats {
 };
 
 struct MatchOptions {
-  /// Dynamic most-constrained-first atom ordering (the default). Disabling
-  /// it matches atoms left to right — kept for the ablation benchmark
-  /// bench_ablation, not for production use.
-  bool most_constrained_first = true;
-  /// Compiled-pattern kernel (the default): dense slot renumbering, flat
-  /// binding trail, compile-time constant-list resolution, cached
-  /// candidate counts. Disabling it runs the legacy map-based matcher —
-  /// kept for differential testing and bench_ablation/bench_hom_search.
-  bool use_compiled_kernel = true;
-  /// K-way galloping intersection of all bound-position posting lists
-  /// when computing an atom's candidates (vs scanning the single smallest
-  /// list and filtering in unification). Kernel path only; an adaptive
-  /// cutoff skips the intersection for tiny driver lists.
-  bool use_list_intersection = true;
   /// Optional resource governor ticked once per backtracking node and per
   /// candidate-loop iteration (amortized; see util/deadline.h). When it
   /// trips, the search unwinds and MatchConjunction returns false exactly
@@ -79,9 +64,10 @@ struct MatchOptions {
 /// substitution; enumeration stops early if `on_match` returns false.
 /// Returns false iff the enumeration was stopped early.
 ///
-/// Atom order is chosen dynamically (fewest candidates first), so callers
-/// need not pre-order the pattern. `stats`, when non-null, accumulates
-/// search effort for benchmarks.
+/// Runs the compiled kernel (compiled_pattern.h). Atom order is chosen
+/// dynamically (fewest candidates first), so callers need not pre-order
+/// the pattern. `stats`, when non-null, accumulates search effort for
+/// benchmarks.
 ///
 /// `on_match` is a non-owning FunctionRef: the callable only has to
 /// outlive this call (std::function's owning type erasure was measurable

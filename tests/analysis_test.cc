@@ -17,8 +17,6 @@
 #include "analysis/query_lints.h"
 #include "chase/chase.h"
 #include "chase/dependencies.h"
-#include "containment/governor.h"
-#include "datalog/fact_index.h"
 #include "flogic/parser.h"
 #include "query/parser.h"
 #include "term/world.h"
@@ -654,16 +652,21 @@ TEST(CostModelTest, GrowingProbeExtrapolatesAndDecaysConfidence) {
 }
 
 TEST(CostModelTest, ConstantSelectivityOrdersPatterns) {
+  // The target is the (completed, level-0) chase of 50 c1 members and
+  // one c2 member.
   World world;
-  FactIndex index;
   Term c1 = world.MakeConstant("c1");
   Term c2 = world.MakeConstant("c2");
+  std::vector<Atom> facts;
   for (int i = 0; i < 50; ++i) {
-    index.Insert(Atom::Member(
-        world.MakeConstant("x" + std::to_string(i)), c1));
+    facts.push_back(
+        Atom::Member(world.MakeConstant("x" + std::to_string(i)), c1));
   }
-  index.Insert(Atom::Member(world.MakeConstant("y"), c2));
-  TargetProfile target = ProfileFacts(index);
+  facts.push_back(Atom::Member(world.MakeConstant("y"), c2));
+  ChaseResult probe =
+      ChaseQuery(world, ConjunctiveQuery("facts", {}, std::move(facts)));
+  ASSERT_EQ(probe.outcome(), ChaseOutcome::kCompleted);
+  TargetProfile target = ProfileTarget(probe);
   EXPECT_EQ(target.PredicateCount(pfl::kMember), 51u);
   EXPECT_EQ(target.ConstantCount(pfl::kMember, 1, c1), 50u);
   EXPECT_EQ(target.ConstantCount(pfl::kMember, 1, c2), 1u);
@@ -730,31 +733,6 @@ TEST(CostModelTest, Fld203FiresWhenTheEstimateExceedsTheBudget) {
   ASSERT_TRUE(small.ok());
   EXPECT_FALSE(HasCode(AnalyzeQueryCost(world2, *small).diagnostics,
                        "FLD203"));
-}
-
-TEST(CostModelTest, FromEstimateOnlyEverRaisesTheBudget) {
-  ResourceBudget base;
-  base.hom_step_budget = 100;
-  // Cheap pairs keep the base budget.
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 50.0, 100.0).hom_step_budget,
-            100u);
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 100.0, 100.0).hom_step_budget,
-            100u);
-  // Expensive pairs scale linearly with the cost ratio...
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 400.0, 100.0).hom_step_budget,
-            400u);
-  // ...up to the 64x cap.
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 1e9, 1.0).hom_step_budget,
-            6400u);
-  // An unlimited budget stays unlimited; degenerate means stay put.
-  ResourceBudget unlimited;
-  EXPECT_EQ(ResourceBudget::FromEstimate(unlimited, 400.0, 100.0)
-                .hom_step_budget,
-            0u);
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 400.0, 0.0).hom_step_budget,
-            100u);
-  EXPECT_EQ(ResourceBudget::FromEstimate(base, 0.0, 100.0).hom_step_budget,
-            100u);
 }
 
 }  // namespace

@@ -449,53 +449,26 @@ TEST(ChaseHeadTest, EmptyBodyQueryYieldsEmptyCompletedChase) {
 namespace floq {
 namespace {
 
-// ---- oblivious vs restricted rho_5 (ChaseOptions::restricted_rho5) ---------
+// ---- Sigma_FL's rule variables ----------------------------------------------
 
-TEST(ObliviousChaseTest, ExistingDataDoesNotBlock) {
+TEST(SigmaFLTest, RebuildingReusesTheSameTenVariables) {
   World world;
-  Result<ConjunctiveQuery> q =
-      ParseQuery(world, "q() :- mandatory(A, O), data(O, A, V).");
-  ASSERT_TRUE(q.ok());
-  ChaseOptions oblivious;
-  oblivious.max_level = 5;
-  oblivious.restricted_rho5 = false;
-  ChaseResult chase = ChaseQuery(world, *q, oblivious);
-  EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
-  // The restricted chase keeps one data conjunct; the oblivious one
-  // invents a second value.
-  EXPECT_EQ(chase.conjuncts().WithPredicate(pfl::kData).size(), 2u);
-  EXPECT_EQ(chase.stats().fresh_nulls, 1u);
-}
-
-TEST(ObliviousChaseTest, FiresOncePerPair) {
-  World world;
-  Result<ConjunctiveQuery> q = ParseQuery(world, "q() :- mandatory(A, O).");
-  ASSERT_TRUE(q.ok());
-  ChaseOptions oblivious;
-  oblivious.max_level = 50;
-  oblivious.restricted_rho5 = false;
-  ChaseResult chase = ChaseQuery(world, *q, oblivious);
-  EXPECT_EQ(chase.outcome(), ChaseOutcome::kCompleted);
-  EXPECT_EQ(chase.stats().fresh_nulls, 1u);
-}
-
-TEST(ObliviousChaseTest, IsASupersetOfTheRestrictedChase) {
-  const char* text =
-      "q() :- mandatory(A, T), type(T, A, T), data(T, A, w).";
-  World world_r, world_o;
-  ConjunctiveQuery qr = *ParseQuery(world_r, text);
-  ConjunctiveQuery qo = *ParseQuery(world_o, text);
-  ChaseOptions restricted;
-  restricted.max_level = 8;
-  ChaseOptions oblivious = restricted;
-  oblivious.restricted_rho5 = false;
-  ChaseResult r = ChaseQuery(world_r, qr, restricted);
-  ChaseResult o = ChaseQuery(world_o, qo, oblivious);
-  // Every restricted conjunct appears (up to null renaming) obliviously;
-  // here the constant skeleton suffices: compare per-predicate counts.
-  EXPECT_GE(o.conjuncts().WithPredicate(pfl::kData).size(),
-            r.conjuncts().WithPredicate(pfl::kData).size());
-  EXPECT_GT(o.stats().fresh_nulls, r.stats().fresh_nulls);
+  const uint32_t before = world.variable_count();
+  SigmaFL first = MakeSigmaFL(world);
+  EXPECT_EQ(world.variable_count(), before + 10);
+  SigmaFL second = MakeSigmaFL(world);
+  EXPECT_EQ(world.variable_count(), before + 10);
+  ASSERT_EQ(first.tgds.size(), second.tgds.size());
+  for (size_t i = 0; i < first.tgds.size(); ++i) {
+    EXPECT_EQ(first.tgds[i].rule.head, second.tgds[i].rule.head);
+    EXPECT_EQ(first.tgds[i].rule.body, second.tgds[i].rule.body);
+  }
+  EXPECT_EQ(first.egd.v, second.egd.v);
+  EXPECT_EQ(first.existential.body, second.existential.body);
+  // Reserved variables for user dependencies never collide with them.
+  Term reserved = world.MakeReservedVariable();
+  EXPECT_NE(reserved, first.egd.v);
+  EXPECT_NE(reserved, first.egd.w);
 }
 
 }  // namespace

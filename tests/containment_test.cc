@@ -270,6 +270,20 @@ TEST(ContainmentTest, BudgetExhaustionIsReported) {
   EXPECT_FALSE(result->conclusive);
 }
 
+// One-shot checks share the World's ten Sigma_FL variables: each call
+// adds only the renamed-apart copy of q2.
+TEST(ContainmentTest, RepeatedChecksGrowTheWorldOnlyByRenamings) {
+  World world;
+  ConjunctiveQuery q1 = Q(world, "q(X) :- member(X, C), sub(C, D).");
+  ConjunctiveQuery q2 = Q(world, "q(X) :- member(X, D).");
+  const uint32_t before = world.variable_count();
+  const uint32_t renamed = uint32_t(q2.Variables().size());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(Contained(world, q1, q2));
+  }
+  EXPECT_EQ(world.variable_count(), before + 10 + 100 * renamed);
+}
+
 // ---- equivalence ---------------------------------------------------------
 
 TEST(EquivalenceTest, RedundantAtomIsEquivalent) {

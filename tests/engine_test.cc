@@ -620,10 +620,8 @@ TEST(GovernedEngineTest, TimedOutPairsFreeWorkersPromptly) {
   World world;
   BatchContainmentOptions options;
   options.jobs = 2;
-  // Worst-case order on purpose: no cost model to float the cheap pairs
-  // ahead, no signature filter to discharge anything before the governed
-  // stages (it would also skew the queue_wait sample count below).
-  options.containment.use_cost_scheduling = false;
+  // No signature filter to discharge anything before the governed stages
+  // (it would also skew the queue_wait sample count below).
   options.containment.use_signature_index = false;
   options.containment.budget.timeout_ms = 500;
   ContainmentEngine engine(world, options);
@@ -984,78 +982,74 @@ bool SameVerdict(const PairVerdict& a, const PairVerdict& b) {
          a.level_bound == b.level_bound;
 }
 
-// The sparse result, CheckAll's dense cells, jobs=1 and jobs=4, and cost
-// scheduling on and off all agree cell for cell.
+// The sparse result, CheckAll's dense cells, jobs=1 and jobs=4 all agree
+// cell for cell.
 TEST(SparseEngineTest, SurvivorListMatchesDenseMatrixAcrossJobsAndSchedules) {
   World world;
   const std::vector<ConjunctiveQuery> queries = SparseBooleanMix(world);
   const size_t n = queries.size();
   std::vector<std::vector<PairVerdict>> reference;
-  for (bool schedule : {false, true}) {
-    for (int jobs : {1, 4}) {
-      SCOPED_TRACE("cost scheduling " + std::to_string(schedule) +
-                   ", jobs " + std::to_string(jobs));
-      BatchContainmentOptions options;
-      options.jobs = jobs;
-      options.containment.use_cost_scheduling = schedule;
-      options.containment.budget.hom_step_budget = 5000;
-      ContainmentEngine sparse_engine(world, options);
-      ContainmentEngine dense_engine(world, options);
-      for (const ConjunctiveQuery& q : queries) {
-        ASSERT_TRUE(sparse_engine.AddQuery(q).ok());
-        ASSERT_TRUE(dense_engine.AddQuery(q).ok());
-      }
-      Result<SparseVerdicts> sparse = sparse_engine.CheckAllSparse();
-      Result<std::vector<std::vector<PairVerdict>>> dense =
-          dense_engine.CheckAll();
-      ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-      ASSERT_TRUE(dense.ok()) << dense.status().ToString();
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    BatchContainmentOptions options;
+    options.jobs = jobs;
+    options.containment.budget.hom_step_budget = 5000;
+    ContainmentEngine sparse_engine(world, options);
+    ContainmentEngine dense_engine(world, options);
+    for (const ConjunctiveQuery& q : queries) {
+      ASSERT_TRUE(sparse_engine.AddQuery(q).ok());
+      ASSERT_TRUE(dense_engine.AddQuery(q).ok());
+    }
+    Result<SparseVerdicts> sparse = sparse_engine.CheckAllSparse();
+    Result<std::vector<std::vector<PairVerdict>>> dense =
+        dense_engine.CheckAll();
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
 
-      for (const ContainmentEngine* engine : {&sparse_engine, &dense_engine}) {
-        const BatchStats& stats = engine->stats();
-        EXPECT_EQ(stats.pairs_checked, n * (n - 1));
-        EXPECT_EQ(stats.pruned_pairs + stats.chase_requests,
-                  stats.pairs_checked);
-        EXPECT_GE(double(stats.pruned_pairs),
-                  0.85 * double(stats.pairs_checked));
-        EXPECT_EQ(stats.unknown_pairs, 1u);
-      }
-      ASSERT_EQ(sparse->pairs.size(), sparse->verdicts.size());
-      EXPECT_EQ(sparse->pairs.size(),
-                n * (n - 1) - sparse_engine.stats().pruned_pairs);
-      EXPECT_TRUE(std::is_sorted(sparse->pairs.begin(), sparse->pairs.end()));
+    for (const ContainmentEngine* engine : {&sparse_engine, &dense_engine}) {
+      const BatchStats& stats = engine->stats();
+      EXPECT_EQ(stats.pairs_checked, n * (n - 1));
+      EXPECT_EQ(stats.pruned_pairs + stats.chase_requests,
+                stats.pairs_checked);
+      EXPECT_GE(double(stats.pruned_pairs),
+                0.85 * double(stats.pairs_checked));
+      EXPECT_EQ(stats.unknown_pairs, 1u);
+    }
+    ASSERT_EQ(sparse->pairs.size(), sparse->verdicts.size());
+    EXPECT_EQ(sparse->pairs.size(),
+              n * (n - 1) - sparse_engine.stats().pruned_pairs);
+    EXPECT_TRUE(std::is_sorted(sparse->pairs.begin(), sparse->pairs.end()));
 
-      // Expand the survivors: every unlisted off-diagonal cell is pruned.
-      std::vector<std::vector<PairVerdict>> expanded(
-          n, std::vector<PairVerdict>(n));
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < n; ++j) expanded[i][j].pruned = i != j;
-      }
-      for (size_t s = 0; s < sparse->pairs.size(); ++s) {
-        const auto& [i, j] = sparse->pairs[s];
-        ASSERT_NE(i, j);
-        EXPECT_FALSE(sparse->verdicts[s].pruned);
-        expanded[i][j] = sparse->verdicts[s];
-      }
-      if (reference.empty()) reference = expanded;
-      size_t dense_mismatches = 0;
-      size_t config_mismatches = 0;
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t j = 0; j < n; ++j) {
-          if (!SameVerdict(expanded[i][j], (*dense)[i][j])) ++dense_mismatches;
-          if (!SameVerdict(expanded[i][j], reference[i][j])) {
-            ++config_mismatches;
-          }
+    // Expand the survivors: every unlisted off-diagonal cell is pruned.
+    std::vector<std::vector<PairVerdict>> expanded(
+        n, std::vector<PairVerdict>(n));
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) expanded[i][j].pruned = i != j;
+    }
+    for (size_t s = 0; s < sparse->pairs.size(); ++s) {
+      const auto& [i, j] = sparse->pairs[s];
+      ASSERT_NE(i, j);
+      EXPECT_FALSE(sparse->verdicts[s].pruned);
+      expanded[i][j] = sparse->verdicts[s];
+    }
+    if (reference.empty()) reference = expanded;
+    size_t dense_mismatches = 0;
+    size_t config_mismatches = 0;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        if (!SameVerdict(expanded[i][j], (*dense)[i][j])) ++dense_mismatches;
+        if (!SameVerdict(expanded[i][j], reference[i][j])) {
+          ++config_mismatches;
         }
       }
-      EXPECT_EQ(dense_mismatches, 0u);
-      EXPECT_EQ(config_mismatches, 0u);
-
-      // The one budget-tripped pair, on both paths.
-      EXPECT_EQ((*dense)[0][1].resolution, Resolution::kUnknown);
-      EXPECT_EQ((*dense)[0][1].unknown_reason, TripReason::kHomStepBudget);
-      EXPECT_EQ(expanded[0][1].resolution, Resolution::kUnknown);
     }
+    EXPECT_EQ(dense_mismatches, 0u);
+    EXPECT_EQ(config_mismatches, 0u);
+
+    // The one budget-tripped pair, on both paths.
+    EXPECT_EQ((*dense)[0][1].resolution, Resolution::kUnknown);
+    EXPECT_EQ((*dense)[0][1].unknown_reason, TripReason::kHomStepBudget);
+    EXPECT_EQ(expanded[0][1].resolution, Resolution::kUnknown);
   }
 }
 
@@ -1101,47 +1095,43 @@ TEST(SparseEngineTest, ClassifyQueriesMatchesTaxonomyOverCheckAll) {
 
 // Stage 0 runs its count and fill passes over lhs rows on the batch's
 // pool: the survivor list must come out identical, in content and order,
-// whatever the thread count or schedule.
+// whatever the thread count.
 TEST(SparseEngineTest, StageZeroSurvivorListIsIdenticalAcrossJobsAndSchedules) {
   World world;
   const std::vector<ConjunctiveQuery> queries = SparseBooleanMix(world);
   std::vector<std::pair<size_t, size_t>> reference_pairs;
   std::vector<PairVerdict> reference_verdicts;
-  for (bool schedule : {false, true}) {
-    for (int jobs : {1, 2, 4}) {
-      SCOPED_TRACE("cost scheduling " + std::to_string(schedule) +
-                   ", jobs " + std::to_string(jobs));
-      BatchContainmentOptions options;
-      options.jobs = jobs;
-      options.containment.use_cost_scheduling = schedule;
-      options.containment.budget.hom_step_budget = 5000;
-      ContainmentEngine engine(world, options);
-      for (const ConjunctiveQuery& q : queries) {
-        ASSERT_TRUE(engine.AddQuery(q).ok());
-      }
-      Result<SparseVerdicts> sparse = engine.CheckAllSparse();
-      ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-      ASSERT_EQ(sparse->pairs.size(), sparse->verdicts.size());
-      const BatchStats& stats = engine.stats();
-      EXPECT_EQ(stats.pruned_pairs + stats.chase_requests,
-                stats.pairs_checked);
-      EXPECT_EQ(sparse->pairs.size(), stats.chase_requests);
-      if (reference_pairs.empty()) {
-        reference_pairs = sparse->pairs;
-        reference_verdicts = sparse->verdicts;
-        EXPECT_TRUE(std::is_sorted(reference_pairs.begin(),
-                                   reference_pairs.end()));
-        continue;
-      }
-      EXPECT_EQ(sparse->pairs, reference_pairs);
-      size_t mismatches = 0;
-      for (size_t s = 0; s < reference_verdicts.size(); ++s) {
-        if (!SameVerdict(sparse->verdicts[s], reference_verdicts[s])) {
-          ++mismatches;
-        }
-      }
-      EXPECT_EQ(mismatches, 0u);
+  for (int jobs : {1, 2, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    BatchContainmentOptions options;
+    options.jobs = jobs;
+    options.containment.budget.hom_step_budget = 5000;
+    ContainmentEngine engine(world, options);
+    for (const ConjunctiveQuery& q : queries) {
+      ASSERT_TRUE(engine.AddQuery(q).ok());
     }
+    Result<SparseVerdicts> sparse = engine.CheckAllSparse();
+    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+    ASSERT_EQ(sparse->pairs.size(), sparse->verdicts.size());
+    const BatchStats& stats = engine.stats();
+    EXPECT_EQ(stats.pruned_pairs + stats.chase_requests,
+              stats.pairs_checked);
+    EXPECT_EQ(sparse->pairs.size(), stats.chase_requests);
+    if (reference_pairs.empty()) {
+      reference_pairs = sparse->pairs;
+      reference_verdicts = sparse->verdicts;
+      EXPECT_TRUE(std::is_sorted(reference_pairs.begin(),
+                                 reference_pairs.end()));
+      continue;
+    }
+    EXPECT_EQ(sparse->pairs, reference_pairs);
+    size_t mismatches = 0;
+    for (size_t s = 0; s < reference_verdicts.size(); ++s) {
+      if (!SameVerdict(sparse->verdicts[s], reference_verdicts[s])) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "containment/explain.h"
 #include "containment/views.h"
 #include "kb/knowledge_base.h"
+#include "matcher_oracle.h"
 #include "query/parser.h"
 #include "term/world.h"
 
@@ -268,11 +269,11 @@ TEST(AblationTest, NaiveAtomOrderFindsTheSameHomomorphisms) {
   ConjunctiveQuery q2 =
       Q(world, "p(X) :- member(X, C2), type(C2, A2, T2)."
                ).RenameApart(world);
-  MatchOptions naive;
-  naive.most_constrained_first = false;
+  // The naive left-to-right order lives in the matcher oracle only.
   auto smart = FindQueryHomomorphism(q2, chase.conjuncts(), {chase.head()[0]});
-  auto dumb = FindQueryHomomorphism(q2, chase.conjuncts(), {chase.head()[0]},
-                                    nullptr, naive);
+  auto dumb = OracleQueryHomomorphism(q2, chase.conjuncts(),
+                                      {chase.head()[0]}, nullptr,
+                                      /*most_constrained_first=*/false);
   EXPECT_EQ(smart.has_value(), dumb.has_value());
 }
 

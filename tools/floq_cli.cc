@@ -77,10 +77,6 @@
 //                      snapshot to F when the command finishes
 //   --trace-out F      record scoped spans and write Chrome trace_event
 //                      JSON to F (loads in chrome://tracing / Perfetto)
-//   --cost-schedule    classify: run the batch pipeline in ascending
-//                      predicted-cost order with calibrated hom budgets
-//                      (analysis/cost_model.h); verdicts are unchanged,
-//                      only the schedule
 //   --kb-snapshot F    for the KB commands (query, consistency, lint):
 //                      when F exists, restore the knowledge base from it
 //                      (one mmap — parsing is skipped, and saturation
@@ -270,8 +266,7 @@ int CmdExplain(const std::string& path, const ResourceBudget& budget,
 }
 
 int CmdClassify(const std::string& path, int jobs,
-                const ResourceBudget& budget, bool no_prune,
-                bool cost_schedule) {
+                const ResourceBudget& budget, bool no_prune) {
   World world;
   Result<std::vector<ConjunctiveQuery>> rules = LoadRules(world, path);
   if (!rules.ok()) return Fail(rules.status().ToString());
@@ -279,7 +274,6 @@ int CmdClassify(const std::string& path, int jobs,
   options.jobs = jobs;  // 0 = hardware concurrency
   options.containment.budget = budget;
   options.containment.use_signature_index = !no_prune;
-  options.containment.use_cost_scheduling = cost_schedule;
   Result<QueryTaxonomy> taxonomy = ClassifyQueries(world, *rules, options);
   if (!taxonomy.ok()) return Fail(taxonomy.status().ToString());
   std::printf("%zu queries, %zu equivalence classes, %d checks\n",
@@ -1379,8 +1373,7 @@ int Usage() {
                "usage:\n"
                "  floq check <queries.fl>\n"
                "  floq explain <queries.fl> [--profile] [--chase-dot FILE]\n"
-               "  floq classify [--jobs N] [--no-prune] [--cost-schedule] "
-               "<queries.fl>\n"
+               "  floq classify [--jobs N] [--no-prune] <queries.fl>\n"
                "  floq chase <queries.fl> [max_level]\n"
                "  floq dot <queries.fl> [max_level]\n"
                "  floq minimize <queries.fl>\n"
@@ -1413,8 +1406,6 @@ int Usage() {
                "shutdown | watch\n"
                "global flags: --jobs N, --timeout-ms N, --hom-steps N,\n"
                "              --no-prune (disable the signature prefilter),\n"
-               "              --cost-schedule (classify: cheapest-predicted-"
-               "first order),\n"
                "              --metrics-out <m.json>, --trace-out <t.json>,\n"
                "              --kb-snapshot <kb.snap> (query/consistency/"
                "lint:\n"
@@ -1426,7 +1417,7 @@ int Usage() {
 
 int RunCommand(const std::string& command, std::vector<std::string>& args,
                int jobs, const ResourceBudget& budget, bool no_prune,
-               bool cost_schedule, const std::string& kb_snapshot,
+               const std::string& kb_snapshot,
                const std::string& metrics_out) {
   if (command == "check" && args.size() == 2) {
     return CmdCheck(args[1], budget);
@@ -1450,7 +1441,7 @@ int RunCommand(const std::string& command, std::vector<std::string>& args,
     return CmdExplain(file_path, budget, profile, chase_dot);
   }
   if (command == "classify" && args.size() == 2) {
-    return CmdClassify(args[1], jobs, budget, no_prune, cost_schedule);
+    return CmdClassify(args[1], jobs, budget, no_prune);
   }
   if ((command == "chase" || command == "dot") &&
       (args.size() == 2 || args.size() == 3)) {
@@ -1538,21 +1529,11 @@ int main(int argc, char** argv) {
   // `--trace-out F` arm the observability sinks (DESIGN.md §12).
   int64_t jobs64 = 0, timeout_ms = 0, hom_steps = 0;
   std::string metrics_out, trace_out, kb_snapshot;
-  // Boolean flags first (the loop below consumes flag+value pairs).
-  bool no_prune = false, cost_schedule = false;
-  for (size_t i = 1; i < args.size();) {
-    if (args[i] == "--no-prune") {
-      no_prune = true;
-      args.erase(args.begin() + long(i));
-      continue;
-    }
-    if (args[i] == "--cost-schedule") {
-      cost_schedule = true;
-      args.erase(args.begin() + long(i));
-      continue;
-    }
-    ++i;
-  }
+  // The boolean flag first (the loop below consumes flag+value pairs).
+  const auto no_prune_flag = std::remove(args.begin() + 1, args.end(),
+                                         std::string("--no-prune"));
+  const bool no_prune = no_prune_flag != args.end();
+  args.erase(no_prune_flag, args.end());
   for (size_t i = 1; i + 1 < args.size();) {
     std::string* text_slot = args[i] == "--metrics-out"  ? &metrics_out
                              : args[i] == "--trace-out"  ? &trace_out
@@ -1592,7 +1573,7 @@ int main(int argc, char** argv) {
   if (!trace_out.empty()) trace_session.emplace();
 
   int exit_code = RunCommand(command, args, jobs, budget, no_prune,
-                             cost_schedule, kb_snapshot, metrics_out);
+                             kb_snapshot, metrics_out);
 
   if (!metrics_out.empty() &&
       !WriteFile(metrics_out, MetricsRegistry::Get().ToJson())) {
