@@ -4,7 +4,7 @@
 // and cancellation-flag load amortized over kStride = 1024 ticks). This
 // benchmark measures that tax directly: the same search corpus is run
 //
-//   * ungoverned — MatchOptions::governor == nullptr (the default), and
+//   * ungoverned — a null governor (the default), and
 //   * governed   — a live governor with a far-future deadline and an
 //                  armed cancellation token, exactly what
 //                  `floq ... --timeout-ms N` installs; it never trips,
@@ -115,9 +115,8 @@ void MakeWorkload(const CorpusConfig& config, Workload& w) {
 // configuration `--timeout-ms` produces, minus any chance of tripping.
 RunMetrics OnePass(const Workload& workload, const CorpusConfig& config,
                    bool governed, const CancellationToken& token) {
-  ExecGovernor governor(Deadline::AfterMillis(3'600'000), &token);
-  MatchOptions options;
-  if (governed) options.governor = &governor;
+  ExecGovernor live(Deadline::AfterMillis(3'600'000), &token);
+  ExecGovernor* governor = governed ? &live : nullptr;
 
   RunMetrics metrics;
   for (const ConjunctiveQuery& probe : workload.probes) {
@@ -128,11 +127,11 @@ RunMetrics OnePass(const Workload& workload, const CorpusConfig& config,
       MatchConjunction(
           probe.body(), workload.chase.conjuncts(), Substitution(),
           [&](const Substitution&) { return ++matches < kMatchCap; }, &stats,
-          options);
+          governor);
       metrics.found += matches;
     } else {
       if (FindQueryHomomorphism(probe, workload.chase.conjuncts(), {}, &stats,
-                                options)) {
+                                governor)) {
         ++metrics.found;
       }
     }

@@ -81,18 +81,6 @@ std::string QueryText(int i) {
   }
 }
 
-int ConnectUnix(const std::string& path) {
-  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  FLOQ_CHECK(fd >= 0);
-  struct sockaddr_un addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  FLOQ_CHECK(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                       sizeof(addr)) == 0);
-  return fd;
-}
-
 Json RoundTrip(int fd, const Json& request) {
   Status written =
       WriteFrame(fd, request.Serialize(), Deadline::AfterMillis(10'000));

@@ -26,12 +26,12 @@ namespace {
 
 using namespace floq;
 
-enum Bucket { kBody = 0, kLevelZero = 1, kDeep = 2, kBucketCount = 3 };
+enum Bucket { kBody = 0, kLevel0Derived = 1, kDeep = 2, kBucketCount = 3 };
 
 const char* BucketName(int b) {
   switch (b) {
     case kBody: return "body";
-    case kLevelZero: return "level0-derived";
+    case kLevel0Derived: return "level0-derived";
     case kDeep: return "deep (rho_5)";
   }
   return "?";
@@ -100,7 +100,7 @@ std::vector<LabeledPair> MakeCorpus(World& world, int per_bucket) {
       if (chase.meta(id).rule == kRho0) {
         ids[kBody].push_back(id);
       } else if (chase.LevelOf(id) == 0) {
-        ids[kLevelZero].push_back(id);
+        ids[kLevel0Derived].push_back(id);
       } else {
         ids[kDeep].push_back(id);
       }
@@ -140,7 +140,7 @@ void PrintRecallTable() {
       ++classical_hits[pair.bucket];
     }
     ContainmentOptions level0;
-    level0.depth = ChaseDepth::kLevelZero;
+    level0.level_override = 0;
     Result<ContainmentResult> shallow =
         CheckContainment(world, pair.q1, pair.q2, level0);
     if (shallow.ok() && shallow->contained) ++level0_hits[pair.bucket];
@@ -182,7 +182,7 @@ void BM_ConstructedPair(benchmark::State& state) {
     benchmark::DoNotOptimize(result.ok());
   }
 }
-BENCHMARK(BM_ConstructedPair)->Arg(kBody)->Arg(kLevelZero)->Arg(kDeep);
+BENCHMARK(BM_ConstructedPair)->Arg(kBody)->Arg(kLevel0Derived)->Arg(kDeep);
 
 void BM_IndependentRandomPair(benchmark::State& state) {
   World world;

@@ -65,11 +65,13 @@ class ChaseEngine {
     const ChaseStats before = result_.stats_;
     // Initial conjuncts: body(q) at level 0. Inserted before the governor
     // is armed: a resumed run cannot re-seed them, so they must all be
-    // present before any trip can stop the engine.
+    // present before any trip can stop the engine. The head comes first:
+    // a body larger than the atom budget stops the run mid-seed, and the
+    // truncated prefix is still searched against the head.
+    result_.head_ = query.head();
     for (const Atom& atom : query.body()) {
       if (!InsertNode(atom, 0, kRho0, {})) return Finish(span, before);
     }
-    result_.head_ = query.head();
     SetGovernor(governor);
     Advance();
     Finish(span, before);
@@ -106,7 +108,6 @@ class ChaseEngine {
  private:
   void SetGovernor(ExecGovernor* governor) {
     governor_ = governor != nullptr ? governor : options_.governor;
-    match_options_.governor = governor_;
   }
 
   // True when the governor has tripped. Latches kInterrupted and arms a
@@ -343,7 +344,7 @@ class ChaseEngine {
                            consider(tgd, match);
                            return true;
                          },
-                         /*stats=*/nullptr, match_options_);
+                         /*stats=*/nullptr, governor_);
         continue;
       }
       for (size_t pivot = 0; pivot < tgd.rule.body.size(); ++pivot) {
@@ -359,7 +360,7 @@ class ChaseEngine {
                              consider(tgd, match);
                              return true;
                            },
-                           /*stats=*/nullptr, match_options_);
+                           /*stats=*/nullptr, governor_);
         }
       }
     }
@@ -522,7 +523,6 @@ class ChaseEngine {
   std::vector<Atom> delta_;
   // Governor of the current Run/Deepen call (not owned; see SetGovernor).
   ExecGovernor* governor_ = nullptr;
-  MatchOptions match_options_;
   bool preliminary_done_ = false;
   bool full_recheck_ = true;
   std::set<std::pair<uint64_t, RuleId>> cross_seen_;

@@ -28,17 +28,18 @@ class GenericChaseEngine {
  public:
   GenericChaseEngine(World& world, const DependencySet& dependencies,
                      const ChaseOptions& options)
-      : world_(world), dependencies_(dependencies), options_(options) {
-    match_options_.governor = options_.governor;
-  }
+      : world_(world), dependencies_(dependencies), options_(options) {}
 
   ChaseResult Run(const std::vector<Atom>& initial,
                   const std::vector<Term>& head) {
     TraceSpan span("generic_chase.run");
+    // The head comes first: an initial instance larger than the atom
+    // budget stops the run mid-seed, and the truncated prefix is still
+    // searched against the head.
+    result_.head_ = head;
     for (const Atom& atom : initial) {
       if (!InsertNode(atom, 0, kRho0, {})) return Finish(span);
     }
-    result_.head_ = head;
 
     bool saw_beyond_cap = false;
     for (;;) {
@@ -189,7 +190,7 @@ class GenericChaseEngine {
                            consider(t, match);
                            return true;
                          },
-                         /*stats=*/nullptr, match_options_);
+                         /*stats=*/nullptr, options_.governor);
         continue;
       }
       for (size_t pivot = 0; pivot < tgd.body.size(); ++pivot) {
@@ -205,7 +206,7 @@ class GenericChaseEngine {
                              consider(t, match);
                              return true;
                            },
-                           /*stats=*/nullptr, match_options_);
+                           /*stats=*/nullptr, options_.governor);
         }
       }
     }
@@ -255,7 +256,7 @@ class GenericChaseEngine {
                            merged_any = true;
                            return true;
                          },
-                         /*stats=*/nullptr, match_options_);
+                         /*stats=*/nullptr, options_.governor);
         if (!ok) {
           result_.outcome_ = ChaseOutcome::kFailed;
           return false;
@@ -317,7 +318,6 @@ class GenericChaseEngine {
   World& world_;
   const DependencySet& dependencies_;
   ChaseOptions options_;
-  MatchOptions match_options_;
   ChaseResult result_;
   TermUnionFind uf_;
   std::vector<Atom> delta_;

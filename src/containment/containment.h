@@ -17,34 +17,28 @@
 // Containment of conjunctive object meta-queries under Sigma_FL — the
 // paper's main result. CheckContainment decides q1 ⊆_Sigma q2 by
 // materializing chase_Sigma(q1) up to level |q2| · 2|q1| (Theorem 12) and
-// searching for a homomorphism from q2 (Theorem 4). Two weaker, sound-but-
-// incomplete baselines are provided for the benchmarks: classical
-// Chandra–Merlin containment (constraints ignored) and containment against
-// level 0 only (the terminating Sigma_FL^- chase).
+// searching for a homomorphism from q2 (Theorem 4). Every verdict-returning
+// check here is that one step over a different target: the Sigma_FL chase,
+// a user dependency set's chase (CheckContainmentUnderDependencies), or
+// body(q1) itself (CheckClassicalContainment, Chandra–Merlin containment).
+// The benchmarks' weaker, sound-but-incomplete baselines are the classical
+// check and CheckContainment with level_override = 0 (the terminating
+// Sigma_FL^- chase).
 
 namespace floq {
-
-/// How deep to chase q1 before the homomorphism search.
-enum class ChaseDepth {
-  /// The paper's bound: |q2| * 2|q1| levels (Theorem 12). Complete.
-  kPaperBound,
-  /// Level 0 only (Sigma_FL minus rho_5). Sound, incomplete.
-  kLevelZero,
-  /// No chase at all: classical containment (Chandra & Merlin 1977).
-  /// Sound, incomplete under constraints.
-  kNone,
-};
 
 /// The level cap of Theorem 12: |q2| * delta with delta = 2|q1|.
 int PaperLevelBound(const ConjunctiveQuery& q1, const ConjunctiveQuery& q2);
 
 struct ContainmentOptions {
-  ChaseDepth depth = ChaseDepth::kPaperBound;
-  /// Overrides the level cap when >= 0 (used by convergence experiments).
+  /// Overrides the level cap when >= 0: 0 is the level-0 baseline, and the
+  /// convergence experiments sweep it. Complete only at or above
+  /// PaperLevelBound. One-shot checks only; ContainmentEngine rejects it.
   int level_override = -1;
-  /// Budget on materialized chase conjuncts; exceeding it yields
-  /// kResourceExhausted (the decision problem is NP-hard, Theorem 13 gives
-  /// a *nondeterministic* polynomial algorithm).
+  /// Budget on materialized chase conjuncts; exceeding it leaves an
+  /// unrefuted check UNKNOWN (kResourceExhausted from CheckUcqContainment).
+  /// The decision problem is NP-hard: Theorem 13 gives a
+  /// *nondeterministic* polynomial algorithm.
   uint64_t max_chase_atoms = 2'000'000;
   /// Resource governance: wall-clock timeout/deadline, cancellation
   /// token, and hom-search step budget. When any of these trips before
@@ -82,9 +76,9 @@ struct ContainmentResult {
   /// both stages tripped, the chase stage (the earlier one) wins.
   TripReason unknown_reason = TripReason::kNone;
 
-  /// False only for CheckContainmentUnderDependencies on a
-  /// non-weakly-acyclic set with a level override: a negative verdict is
-  /// then inconclusive (the homomorphism could exist deeper).
+  /// False for every kUnknown verdict, and for a kNotContained from
+  /// CheckContainmentUnderDependencies whose non-weakly-acyclic chase
+  /// stopped at the level override (the homomorphism could exist deeper).
   bool conclusive = true;
 
   /// True when containment holds vacuously because chase(q1) failed
@@ -100,7 +94,8 @@ struct ContainmentResult {
   /// the counterexample database: q1 yields chase_head on it, q2 does not.
   ChaseResult chase;
 
-  /// Level cap that was used (-1 when depth == kNone).
+  /// Level cap that was used (-1 for the classical check and for a
+  /// terminating dependency chase).
   int level_bound = -1;
 
   /// Homomorphism search effort.

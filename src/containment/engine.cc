@@ -26,9 +26,10 @@ double MsSince(SteadyClock::time_point start) {
 
 }  // namespace
 
-// Per-query cache slot. `chase` (or `body_index` in kNone mode) is built
-// the first time the query appears as a left-hand side and reused — and
-// deepened, never rebuilt — by every later pair.
+// Per-query cache slot. `chase` is built by the registration probe (or,
+// with the signature index off, the first time the query appears as a
+// left-hand side) and reused — and deepened, never rebuilt — by every
+// later pair.
 struct ContainmentEngine::Entry {
   ConjunctiveQuery query;
   // The rhs pattern: variables renamed apart from every chase value (chase
@@ -37,8 +38,6 @@ struct ContainmentEngine::Entry {
   // registration, shared read-only by all workers.
   ConjunctiveQuery renamed;
   std::optional<ResumableChase> chase;
-  // ChaseDepth::kNone target: body(q) as a plain fact index.
-  std::optional<FactIndex> body_index;
   // Stage-0 prefilter signature, computed once at registration from the
   // probe chase (absent when use_signature_index is off).
   std::optional<ClosureSignature> signature;
@@ -46,17 +45,24 @@ struct ContainmentEngine::Entry {
 
 namespace {
 
-// Chase levels the registration-time signature probe materializes
-// (ChaseDepth::kPaperBound; level-0 mode probes level 0). A completed
-// probe makes the closure signature exact; an inconclusive one falls back
-// to the static Sigma_FL closure.
+// Chase levels the registration-time signature probe materializes. A
+// completed probe makes the closure signature exact; an inconclusive one
+// falls back to the static Sigma_FL closure.
 constexpr int kSignatureProbeLevels = 2;
 
 }  // namespace
 
 ContainmentEngine::ContainmentEngine(World& world,
                                      const BatchContainmentOptions& options)
-    : world_(world), options_(options), sigma_(MakeSigmaFL(world)) {}
+    : world_(world), options_(options), sigma_(MakeSigmaFL(world)) {
+  // Every pair is decided at its PaperLevelBound; a level override is for
+  // the one-shot checks. Honouring one here would be inconsistent: the
+  // registration probe already materializes kSignatureProbeLevels, so a
+  // shallower cap would search signature-indexed pairs over a deeper
+  // prefix than CheckContainment uses under the same options.
+  FLOQ_CHECK_LT(options.containment.level_override, 0)
+      << "ContainmentEngine decides at the Theorem 12 bound";
+}
 
 ContainmentEngine::~ContainmentEngine() = default;
 
@@ -89,37 +95,29 @@ Result<size_t> ContainmentEngine::AddQueries(
     entries_.push_back(std::move(entry));
   }
   const ContainmentOptions& copts = options_.containment;
-  const bool probe =
-      copts.use_signature_index && copts.depth != ChaseDepth::kNone;
+  if (!copts.use_signature_index) return first;
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
-  const int probe_level =
-      copts.depth == ChaseDepth::kLevelZero ? 0 : kSignatureProbeLevels;
   // The governors borrow the token, so it must outlive them.
   const CancellationToken engine_token = cancel_source_.token();
-  std::vector<ExecGovernor> governors(probe ? queries.size() : 0);
+  std::vector<ExecGovernor> governors(queries.size());
   // Everything below only reads the World and sigma_ (the probe's nulls are
   // local to its handle), so the entries register independently.
   RunParallel(queries.size(), [&](size_t k) {
+    // The probe IS the pair pipeline's cached chase handle: whatever it
+    // materializes here is reused — and deepened, never rebuilt — by every
+    // later pair with this query on the left. It runs under the same
+    // governed budget as a pair's chase stage, so a runaway query cannot
+    // stall registration; an inconclusive probe just degrades the
+    // signature to the static closure.
     Entry& entry = *entries_[first + k];
-    const ChaseResult* probe_result = nullptr;
-    if (probe) {
-      // The probe IS the pair pipeline's cached chase handle: whatever it
-      // materializes here is reused — and deepened, never rebuilt — by
-      // every later pair with this query on the left. It runs under the
-      // same governed budget as a pair's chase stage, so a runaway query
-      // cannot stall registration; an inconclusive probe just degrades
-      // the signature to the static closure.
-      ExecGovernor& governor = governors[k];
-      governor = MakeChaseGovernor(copts.budget);
-      governor.AddCancellation(&engine_token);
-      entry.chase.emplace(world_, sigma_, entry.query, chase_options);
-      probe_result = &entry.chase->EnsureLevel(probe_level, &governor);
-    }
-    if (copts.use_signature_index) {
-      entry.signature =
-          ComputeClosureSignature(entry.query, copts.depth, probe_result);
-    }
+    ExecGovernor& governor = governors[k];
+    governor = MakeChaseGovernor(copts.budget);
+    governor.AddCancellation(&engine_token);
+    entry.chase.emplace(world_, sigma_, entry.query, chase_options);
+    const ChaseResult& probe =
+        entry.chase->EnsureLevel(kSignatureProbeLevels, &governor);
+    entry.signature = ComputeClosureSignature(entry.query, probe);
   });
   for (const ExecGovernor& governor : governors) FoldGovernorMetrics(governor);
   stats_.chases_run += governors.size();
@@ -147,16 +145,12 @@ const ClosureSignature* ContainmentEngine::signature_of(size_t id) const {
 
 namespace {
 
-void MarkPairContained(PairVerdict& verdict) {
-  verdict.contained = true;
-  verdict.resolution = Resolution::kContained;
-  verdict.unknown_reason = TripReason::kNone;
-}
-
-void MarkPairUnknown(PairVerdict& verdict, TripReason reason) {
-  verdict.contained = false;
-  verdict.resolution = Resolution::kUnknown;
-  verdict.unknown_reason = reason;
+// Records a pair's verdict under governor.h's one settle rule.
+void Settle(PairVerdict& verdict, bool found, TripReason chase_trip,
+            TripReason hom_trip = TripReason::kNone) {
+  verdict.resolution =
+      SettleResolution(found, chase_trip, hom_trip, &verdict.unknown_reason);
+  verdict.contained = verdict.resolution == Resolution::kContained;
 }
 
 // Writes the elapsed milliseconds since construction into *out at scope
@@ -339,12 +333,14 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
   // starts with a full budget again.
   ChaseOptions chase_options;
   chase_options.max_atoms = copts.max_chase_atoms;
-  // Settles a pair whose lhs chase is materialized.
-  auto settle = [&](size_t s, const ChaseResult& chase, TripReason trip) {
+  // Routes a pair whose lhs chase is materialized: a failed chase settles
+  // it, any other queues its search.
+  auto after_chase = [&](size_t s, const ChaseResult& chase,
+                         TripReason trip) {
     if (chase.failed()) {
       // lhs has no answers on any database satisfying Sigma_FL: contained
       // in every query of the same arity, no search needed.
-      MarkPairContained(verdicts[s]);
+      Settle(verdicts[s], /*found=*/true, TripReason::kNone);
       verdicts[s].lhs_unsatisfiable = true;
       return;
     }
@@ -359,15 +355,10 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
     Entry& l = *entries_[lhs];
     PairVerdict& verdict = verdicts[s];
     ++stats_.chase_requests;
-    int level = 0;
-    if (copts.depth == ChaseDepth::kPaperBound) {
-      level = copts.level_override >= 0
-                  ? copts.level_override
-                  : PaperLevelBound(l.query, entries_[rhs]->query);
-    }
-    if (copts.depth != ChaseDepth::kNone && l.chase.has_value() &&
-        l.chase->Covers(level) && !engine_token.cancelled() &&
-        !budget.cancel.cancelled() && !budget.deadline.Expired()) {
+    const int level = PaperLevelBound(l.query, entries_[rhs]->query);
+    if (l.chase.has_value() && l.chase->Covers(level) &&
+        !engine_token.cancelled() && !budget.cancel.cancelled() &&
+        !budget.deadline.Expired()) {
       // Cache-hit fast path: EnsureLevel would be a const read, so there
       // is no chase to govern, time or trace. Cancellation and an expired
       // absolute deadline take the governed path below, which degrades
@@ -375,7 +366,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
       ++stats_.chase_cache_hits;
       verdict.level_bound = level;
       const ChaseResult& chase = l.chase->result();
-      settle(s, chase, ChaseTripReason(chase.outcome(), ExecGovernor()));
+      after_chase(s, chase, ChaseTripReason(chase.outcome(), ExecGovernor()));
       continue;
     }
     TraceSpan span("engine.chase_stage");
@@ -384,20 +375,6 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
       span.Arg("lhs", int64_t(lhs)).Arg("rhs", int64_t(rhs));
     }
     StageTimer timer(&verdict.chase_ms);
-
-    if (copts.depth == ChaseDepth::kNone) {
-      verdict.level_bound = -1;
-      if (!l.body_index.has_value()) {
-        ++stats_.chases_run;
-        l.body_index.emplace();
-        for (const Atom& atom : l.query.body()) l.body_index->Insert(atom);
-      } else {
-        ++stats_.chase_cache_hits;
-      }
-      phase[s] = kNeedsSearch;
-      continue;
-    }
-
     phase[s] = kChaseTimed;
     ExecGovernor chase_governor = MakeChaseGovernor(budget);
     chase_governor.AddCancellation(&engine_token);
@@ -405,7 +382,7 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
       // Already cancelled (or the absolute deadline has passed) before
       // this pair started: skip its chase entirely.
       FoldGovernorMetrics(chase_governor);
-      MarkPairUnknown(verdict, chase_governor.trip());
+      Settle(verdict, /*found=*/false, chase_governor.trip());
       continue;
     }
     verdict.level_bound = level;
@@ -426,10 +403,10 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
     }
     const TripReason trip = ChaseTripReason(chase.outcome(), chase_governor);
     if (trip == TripReason::kCancelled) {
-      MarkPairUnknown(verdict, TripReason::kCancelled);
+      Settle(verdict, /*found=*/false, trip);
       continue;
     }
-    settle(s, chase, trip);
+    after_chase(s, chase, trip);
   }
 
   // Freeze every handle: from here on the chase artifacts are immutable
@@ -442,64 +419,33 @@ Status ContainmentEngine::CheckPairsCore(size_t slices,
   //
   // Workers read frozen chase results directly (never EnsureLevel — an
   // interrupted frozen handle must not resume here) and run under a
-  // per-pair hom governor with its own anchored timeout.
+  // per-pair hom governor with its own anchored timeout. A governor that
+  // has already tripped (a cancelled batch, an expired deadline) skips the
+  // search, and the pair settles as if the search had been cut off.
   const SteadyClock::time_point fanout_start = SteadyClock::now();
-  auto run_pair_inner = [&](size_t s) {
-    PairVerdict& verdict = verdicts[s];
-    ExecGovernor hom_governor(AnchorDeadline(budget), &budget.cancel,
-                              budget.hom_step_budget);
-    hom_governor.AddCancellation(&engine_token);
-    if (!hom_governor.CheckNow()) {
-      FoldGovernorMetrics(hom_governor);
-      MarkPairUnknown(verdict,
-                      hom_governor.trip() == TripReason::kCancelled
-                          ? TripReason::kCancelled
-                          : chase_trips[s] != TripReason::kNone
-                                ? chase_trips[s]
-                                : hom_governor.trip());
-      return;
-    }
-    const auto& [lhs, rhs] = pairs[s];
-    const Entry& l = *entries_[lhs];
-    const Entry& r = *entries_[rhs];
-    const FactIndex& target = copts.depth == ChaseDepth::kNone
-                                  ? *l.body_index
-                                  : l.chase->result().conjuncts();
-    const std::vector<Term>& target_head = copts.depth == ChaseDepth::kNone
-                                               ? l.query.head()
-                                               : l.chase->result().head();
-    MatchOptions match;
-    match.governor = &hom_governor;
-    bool found = FindQueryHomomorphism(r.renamed, target, target_head,
-                                       &verdict.hom_stats, match)
-                     .has_value();
-    FoldGovernorMetrics(hom_governor);
-    if (found) {
-      // Sound even into a truncated prefix (see governor.h).
-      MarkPairContained(verdict);
-      return;
-    }
-    if (chase_trips[s] != TripReason::kNone) {
-      MarkPairUnknown(verdict, chase_trips[s]);
-    } else if (hom_governor.tripped()) {
-      MarkPairUnknown(verdict, hom_governor.trip());
-    } else {
-      verdict.contained = false;
-      verdict.resolution = Resolution::kNotContained;
-    }
-  };
   auto run_pair = [&](size_t s) {
     if ((phase[s] & kNeedsSearch) == 0) return;
     PairVerdict& verdict = verdicts[s];
     verdict.queue_wait_ms = MsSince(fanout_start);
+    const auto& [lhs, rhs] = pairs[s];
     TraceSpan span("engine.hom_stage");
     AnnotateWithRequest(span);
     {
       StageTimer timer(&verdict.hom_ms);
-      run_pair_inner(s);
+      ExecGovernor hom_governor(AnchorDeadline(budget), &budget.cancel,
+                                budget.hom_step_budget);
+      hom_governor.AddCancellation(&engine_token);
+      const ChaseResult& target = entries_[lhs]->chase->result();
+      const bool found =
+          hom_governor.CheckNow() &&
+          FindQueryHomomorphism(entries_[rhs]->renamed, target.conjuncts(),
+                                target.head(), &verdict.hom_stats,
+                                &hom_governor)
+              .has_value();
+      FoldGovernorMetrics(hom_governor);
+      Settle(verdict, found, chase_trips[s], hom_governor.trip());
     }
     if (span.active()) {
-      const auto& [lhs, rhs] = pairs[s];
       span.Arg("lhs", int64_t(lhs))
           .Arg("rhs", int64_t(rhs))
           .Arg("resolution", ResolutionName(verdict.resolution));

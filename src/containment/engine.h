@@ -46,9 +46,10 @@ namespace floq {
 class ThreadPool;
 
 struct BatchContainmentOptions {
-  /// Per-pair semantics: depth, level override, chase atom budget, and the
-  /// resource budget (containment.budget). The engine honors all three
-  /// ChaseDepth modes. The budget is applied *per pair, per stage*: each
+  /// Per-pair semantics: the chase atom budget and the resource budget
+  /// (containment.budget). Every pair is decided at its Theorem 12 bound,
+  /// so containment.level_override must stay unset (the constructor
+  /// FLOQ_CHECKs it). The budget is applied *per pair, per stage*: each
   /// pair's chase stage and hom stage re-anchor containment.budget's
   /// timeout_ms, so one runaway pair exhausts its own slice (at most
   /// ~2x timeout_ms) and every other pair still gets its full share. The
@@ -95,8 +96,8 @@ struct BatchStats {
   uint64_t pairs_checked = 0;
   /// Pairs discharged by the stage-0 signature filter: definite
   /// kNotContained with zero chase or hom work (never counted in
-  /// chase_requests). pruned_pairs + chase_requests == pairs checked in
-  /// every depth mode when the filter is on.
+  /// chase_requests). pruned_pairs + chase_requests == pairs checked when
+  /// the filter is on.
   uint64_t pruned_pairs = 0;
   /// Cumulative stage-0 wall time in microseconds: both passes of the
   /// signature subset tests plus sizing the survivor and verdict arrays
@@ -141,8 +142,8 @@ struct PairVerdict {
   /// Containment holds vacuously: chase(lhs) failed (rho_4 equated two
   /// distinct constants), so lhs is unsatisfiable under Sigma_FL.
   bool lhs_unsatisfiable = false;
-  /// Level the lhs chase was materialized to when searching (-1 for
-  /// ChaseDepth::kNone).
+  /// Level the lhs chase was materialized to when searching (-1 when the
+  /// pair's budget tripped before its chase stage).
   int level_bound = -1;
   /// Search effort of this pair's homomorphism search.
   MatchStats hom_stats;
@@ -214,9 +215,9 @@ class ContainmentEngine {
   Result<std::vector<std::vector<PairVerdict>>> CheckAll();
 
   /// The materialized chase of a query, if one was built (nullptr before
-  /// any check used `id` as a left-hand side, or in kNone mode). With the
-  /// signature index on, registration already runs a bounded probe chase,
-  /// so this is non-null for every id right after AddQuery.
+  /// any check used `id` as a left-hand side). With the signature index
+  /// on, registration already runs a bounded probe chase, so this is
+  /// non-null for every id right after AddQuery.
   const ChaseResult* chase_of(size_t id) const;
 
   /// The closure signature computed at registration, or nullptr when

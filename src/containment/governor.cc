@@ -47,6 +47,15 @@ TripReason ChaseTripReason(ChaseOutcome outcome,
   }
 }
 
+Resolution SettleResolution(bool found, TripReason chase_trip,
+                            TripReason hom_trip, TripReason* unknown_reason) {
+  *unknown_reason = TripReason::kNone;
+  if (found) return Resolution::kContained;
+  *unknown_reason = chase_trip != TripReason::kNone ? chase_trip : hom_trip;
+  return *unknown_reason == TripReason::kNone ? Resolution::kNotContained
+                                              : Resolution::kUnknown;
+}
+
 void FoldGovernorMetrics(const ExecGovernor& governor) {
   if (!MetricsRegistry::enabled()) return;
   MetricsRegistry& registry = MetricsRegistry::Get();

@@ -75,6 +75,16 @@ ExecGovernor MakeHomGovernor(const ResourceBudget& budget);
 /// the governor the chase ran under.
 TripReason ChaseTripReason(ChaseOutcome outcome, const ExecGovernor& governor);
 
+/// The one rule that settles a decision step — a homomorphism search over
+/// a materialized target — into a verdict, for the one-shot checks and the
+/// batch engine alike: a homomorphism is kContained (sound even into a
+/// truncated prefix, see above); otherwise the chase's trip, then the
+/// search's, makes it kUnknown; only a conclusive target and an exhausted
+/// search are kNotContained. `*unknown_reason` receives the trip behind a
+/// kUnknown and kNone otherwise.
+Resolution SettleResolution(bool found, TripReason chase_trip,
+                            TripReason hom_trip, TripReason* unknown_reason);
+
 /// Folds one finished governed stage into the MetricsRegistry:
 /// `governor.ticks` grows by the stage's step count, and a trip bumps the
 /// per-reason counter `governor.trip.<reason>`. No-op when metrics are

@@ -30,7 +30,7 @@ bool SeedFromHead(const ConjunctiveQuery& query,
 std::optional<Substitution> FindQueryHomomorphism(
     const ConjunctiveQuery& query, const FactIndex& target,
     const std::vector<Term>& target_head, MatchStats* stats,
-    const MatchOptions& options) {
+    ExecGovernor* governor) {
   Substitution seed;
   if (!SeedFromHead(query, target_head, seed)) return std::nullopt;
   std::optional<Substitution> found;
@@ -40,7 +40,7 @@ std::optional<Substitution> FindQueryHomomorphism(
         found = match;
         return false;  // first match suffices
       },
-      stats, options);
+      stats, governor);
   return found;
 }
 

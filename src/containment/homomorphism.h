@@ -18,11 +18,12 @@ namespace floq {
 
 /// Searches for a homomorphism that maps body(query) into `target` and
 /// head(query) position-wise onto `target_head`. Returns the homomorphism
-/// or nullopt. `target_head` must have the query's arity.
+/// or nullopt. `target_head` must have the query's arity. `governor`, when
+/// non-null, bounds the search as in MatchConjunction.
 std::optional<Substitution> FindQueryHomomorphism(
     const ConjunctiveQuery& query, const FactIndex& target,
     const std::vector<Term>& target_head, MatchStats* stats = nullptr,
-    const MatchOptions& options = {});
+    ExecGovernor* governor = nullptr);
 
 /// Checks whether `candidate` is a valid homomorphism for the same
 /// request (used by tests to validate witnesses).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "containment/containment.h"
-
 namespace floq {
 
 namespace {
@@ -88,8 +86,7 @@ QuerySignature ComputeQuerySignature(const ConjunctiveQuery& query) {
   return sig;
 }
 
-PredicateBits SigmaClosurePredicates(const PredicateBits& start,
-                                     bool with_rho5) {
+PredicateBits SigmaClosurePredicates(const PredicateBits& start) {
   // Predicate-level abstraction of the twelve Sigma_FL rules (sigma_fl.h):
   // each entry reads "if every body predicate is derivable, the head
   // predicate is". Entries whose head already occurs in their body are
@@ -99,20 +96,19 @@ PredicateBits SigmaClosurePredicates(const PredicateBits& start,
     PredicateId head;
     PredicateId body[2];
     int body_size;
-    bool needs_rho5;
   };
   static constexpr RuleAbstraction kRules[] = {
-      {pfl::kMember, {pfl::kType, pfl::kData}, 2, false},      // rho_1
-      {pfl::kSub, {pfl::kSub, pfl::kSub}, 2, false},           // rho_2
-      {pfl::kMember, {pfl::kMember, pfl::kSub}, 2, false},     // rho_3
-      {pfl::kData, {pfl::kMandatory, kInvalidPredicate}, 1, true},  // rho_5
-      {pfl::kType, {pfl::kMember, pfl::kType}, 2, false},      // rho_6
-      {pfl::kType, {pfl::kSub, pfl::kType}, 2, false},         // rho_7
-      {pfl::kType, {pfl::kType, pfl::kSub}, 2, false},         // rho_8
-      {pfl::kMandatory, {pfl::kSub, pfl::kMandatory}, 2, false},    // rho_9
-      {pfl::kMandatory, {pfl::kMember, pfl::kMandatory}, 2, false},  // rho_10
-      {pfl::kFunct, {pfl::kSub, pfl::kFunct}, 2, false},       // rho_11
-      {pfl::kFunct, {pfl::kMember, pfl::kFunct}, 2, false},    // rho_12
+      {pfl::kMember, {pfl::kType, pfl::kData}, 2},             // rho_1
+      {pfl::kSub, {pfl::kSub, pfl::kSub}, 2},                  // rho_2
+      {pfl::kMember, {pfl::kMember, pfl::kSub}, 2},            // rho_3
+      {pfl::kData, {pfl::kMandatory, kInvalidPredicate}, 1},   // rho_5
+      {pfl::kType, {pfl::kMember, pfl::kType}, 2},             // rho_6
+      {pfl::kType, {pfl::kSub, pfl::kType}, 2},                // rho_7
+      {pfl::kType, {pfl::kType, pfl::kSub}, 2},                // rho_8
+      {pfl::kMandatory, {pfl::kSub, pfl::kMandatory}, 2},      // rho_9
+      {pfl::kMandatory, {pfl::kMember, pfl::kMandatory}, 2},   // rho_10
+      {pfl::kFunct, {pfl::kSub, pfl::kFunct}, 2},              // rho_11
+      {pfl::kFunct, {pfl::kMember, pfl::kFunct}, 2},           // rho_12
   };
 
   PredicateBits closure = start;
@@ -120,7 +116,6 @@ PredicateBits SigmaClosurePredicates(const PredicateBits& start,
   while (changed) {
     changed = false;
     for (const RuleAbstraction& rule : kRules) {
-      if (rule.needs_rho5 && !with_rho5) continue;
       if (closure.Test(rule.head)) continue;
       bool body_ok = true;
       for (int i = 0; i < rule.body_size; ++i) {
@@ -136,25 +131,11 @@ PredicateBits SigmaClosurePredicates(const PredicateBits& start,
 }
 
 ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
-                                         ChaseDepth depth,
-                                         const ChaseResult* probe) {
+                                         const ChaseResult& probe) {
   ClosureSignature sig;
   sig.base = ComputeQuerySignature(query);
 
-  if (depth == ChaseDepth::kNone) {
-    // Classical containment: the hom target IS body(q), so the base
-    // signature is exact and no chase can fail.
-    sig.closure_predicates = sig.base.predicates;
-    sig.closure_constants = sig.base.constants;
-    sig.closure_constant_mask = sig.base.constant_mask;
-    sig.closure_grams = sig.base.grams;
-    sig.closure_gram_mask = sig.base.gram_mask;
-    sig.exact = true;
-    sig.prunable = true;
-    return sig;
-  }
-
-  if (probe != nullptr && probe->failed()) {
+  if (probe.failed()) {
     sig.closure_predicates = sig.base.predicates;
     sig.closure_constants = sig.base.constants;
     sig.closure_constant_mask = sig.base.constant_mask;
@@ -163,28 +144,18 @@ ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
     return sig;
   }
 
-  // The probe is exact when it materialized everything the engine's hom
-  // stage can ever search: a completed chase, or — in level-0 mode — a
-  // level-capped one (kLevelCapped promises every conjunct up to the cap
-  // is present, and level 0 is the whole target).
-  const bool exact =
-      probe != nullptr &&
-      (probe->outcome() == ChaseOutcome::kCompleted ||
-       (depth == ChaseDepth::kLevelZero &&
-        probe->outcome() == ChaseOutcome::kLevelCapped));
-
-  if (exact) {
-    // An exact probe holds every conjunct the hom stage can search, so its
-    // grams bound every image an rhs atom can have.
+  if (probe.outcome() == ChaseOutcome::kCompleted) {
+    // A completed probe holds every conjunct the hom stage can ever
+    // search, so its grams bound every image an rhs atom can have.
     sig.closure_gram_mask = 0;
-    for (const Atom& atom : probe->conjuncts().atoms()) {
+    for (const Atom& atom : probe.conjuncts().atoms()) {
       sig.closure_predicates.Set(atom.predicate());
       FoldConstants(atom.begin(), atom.end(), &sig.closure_constants,
                     nullptr, &sig.closure_constant_mask);
       CollectGrams(atom, &sig.closure_grams, &sig.closure_gram_mask);
     }
     SortUnique(&sig.closure_grams);
-    const std::vector<Term>& head = probe->head();
+    const std::vector<Term>& head = probe.head();
     FoldConstants(head.data(), head.data() + head.size(),
                   &sig.closure_constants, nullptr,
                   &sig.closure_constant_mask);
@@ -195,8 +166,7 @@ ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
 
   // Inconclusive probe (interrupted / budget / deeper cap): fall back to
   // the static over-approximations, which cover every level.
-  sig.closure_predicates = SigmaClosurePredicates(
-      sig.base.predicates, /*with_rho5=*/depth != ChaseDepth::kLevelZero);
+  sig.closure_predicates = SigmaClosurePredicates(sig.base.predicates);
   sig.closure_constants = sig.base.constants;
   sig.closure_constant_mask = sig.base.constant_mask;
 

@@ -37,8 +37,6 @@
 
 namespace floq {
 
-enum class ChaseDepth;  // containment/containment.h
-
 /// Dynamic bitset over interned predicate ids. Queries registered later
 /// may intern predicates the earlier ones never saw, so subset tests must
 /// tolerate operands of different widths (missing words read as zero).
@@ -137,20 +135,17 @@ inline uint64_t MakeGram(PredicateId predicate, int position, Term constant) {
 /// from their own body; the other ten are predicate-preserving, and user
 /// predicates are inert (no Sigma_FL rule mentions them). Sound because a
 /// chase firing requires every body predicate materialized and only adds
-/// its head's predicate. `with_rho5` = false models the Sigma_FL^- chase
-/// of ChaseDepth::kLevelZero.
-PredicateBits SigmaClosurePredicates(const PredicateBits& start,
-                                     bool with_rho5);
+/// its head's predicate.
+PredicateBits SigmaClosurePredicates(const PredicateBits& start);
 
 /// A query's full registration-time signature: the syntactic part plus an
 /// over-approximation of what its chase can ever contain.
 struct ClosureSignature {
   QuerySignature base;
 
-  /// Over-approximates preds(chase_Sigma(q)) for the chase depth the
-  /// engine will search. Exact (the observed set) when the registration
-  /// probe completed; the static SigmaClosurePredicates fixpoint
-  /// otherwise.
+  /// Over-approximates preds(chase_Sigma(q)). Exact (the observed set)
+  /// when the registration probe completed; the static
+  /// SigmaClosurePredicates fixpoint otherwise.
   PredicateBits closure_predicates;
 
   /// Over-approximates constants(chase_Sigma(q)): the chase invents only
@@ -172,9 +167,8 @@ struct ClosureSignature {
   /// such a signature never prunes by gram.
   uint64_t closure_gram_mask = ~uint64_t(0);
 
-  /// The probe ran the relevant chase to completion (or the depth is
-  /// ChaseDepth::kNone), so the closure sets are the exact materialized
-  /// sets rather than static over-estimates.
+  /// The probe ran the chase to completion, so the closure sets are the
+  /// exact materialized sets rather than static over-estimates.
   bool exact = false;
 
   /// The probe saw the chase fail (rho_4 equated distinct constants): q
@@ -190,13 +184,10 @@ struct ClosureSignature {
   bool prunable = false;
 };
 
-/// Builds the closure signature for `query` as the engine will search it.
-/// `probe` is the registration-time bounded chase (nullptr in
-/// ChaseDepth::kNone mode, where the hom target is body(q) itself and the
-/// base signature is already exact).
+/// Builds the closure signature for `query` from `probe`, the
+/// registration-time bounded chase of it.
 ClosureSignature ComputeClosureSignature(const ConjunctiveQuery& query,
-                                         ChaseDepth depth,
-                                         const ChaseResult* probe);
+                                         const ChaseResult& probe);
 
 /// The stage-0 test for the ordered pair "lhs ⊆_Sigma rhs". False is a
 /// sound, definite kNotContained; true means the pair needs the full

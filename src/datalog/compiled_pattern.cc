@@ -414,7 +414,7 @@ class CompiledMatcher {
 bool MatchCompiled(std::span<const Atom> pattern, const FactIndex& index,
                    const Substitution& initial,
                    FunctionRef<bool(const Substitution&)> on_match,
-                   MatchStats* stats, const MatchOptions& options) {
+                   MatchStats* stats, ExecGovernor* governor) {
   thread_local KernelScratch tls;
   KernelScratch local;  // empty vectors: only filled if re-entered
   KernelScratch& scratch = tls.in_use ? local : tls;
@@ -430,7 +430,7 @@ bool MatchCompiled(std::span<const Atom> pattern, const FactIndex& index,
     return true;  // no matches, not stopped early
   }
   return CompiledMatcher(scratch.pattern, index, initial, on_match, stats,
-                         options.governor, scratch)
+                         governor, scratch)
       .Run();
 }
 

@@ -106,7 +106,7 @@ class CompiledPattern {
 bool MatchCompiled(std::span<const Atom> pattern, const FactIndex& index,
                    const Substitution& initial,
                    FunctionRef<bool(const Substitution&)> on_match,
-                   MatchStats* stats, const MatchOptions& options);
+                   MatchStats* stats, ExecGovernor* governor);
 
 }  // namespace floq
 

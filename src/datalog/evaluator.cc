@@ -33,7 +33,7 @@ namespace {
 // rest anywhere in `index`; appends the instantiated heads to `out`.
 void MatchWithPivot(const Rule& rule, size_t pivot_index, const Atom& fact,
                     const FactIndex& index, std::vector<Atom>& out,
-                    const MatchOptions& match_options) {
+                    ExecGovernor* governor) {
   Substitution subst;
   if (!TryUnifyAtom(rule.body[pivot_index], fact, subst)) return;
 
@@ -49,7 +49,7 @@ void MatchWithPivot(const Rule& rule, size_t pivot_index, const Atom& fact,
         out.push_back(match.Apply(rule.head));
         return true;
       },
-      /*stats=*/nullptr, match_options);
+      /*stats=*/nullptr, governor);
 }
 
 Status GovernorError(const ExecGovernor& governor) {
@@ -63,8 +63,6 @@ Status GovernorError(const ExecGovernor& governor) {
 Result<uint64_t> SemiNaiveFixpoint(Database& db, std::span<const Rule> rules,
                                    const EvalOptions& options) {
   uint64_t derived = 0;
-  MatchOptions match_options;
-  match_options.governor = options.governor;
 
   // Round 0 (naive): every rule against the full database.
   std::vector<Atom> pending;
@@ -75,7 +73,7 @@ Result<uint64_t> SemiNaiveFixpoint(Database& db, std::span<const Rule> rules,
           pending.push_back(match.Apply(rule.head));
           return true;
         },
-        /*stats=*/nullptr, match_options);
+        /*stats=*/nullptr, options.governor);
   }
 
   // Delta rounds: each new derivation must use at least one fact from the
@@ -106,7 +104,7 @@ Result<uint64_t> SemiNaiveFixpoint(Database& db, std::span<const Rule> rules,
       for (size_t pivot = 0; pivot < rule.body.size(); ++pivot) {
         for (const Atom& fact : delta) {
           MatchWithPivot(rule, pivot, fact, db.index(), pending,
-                         match_options);
+                         options.governor);
         }
       }
     }

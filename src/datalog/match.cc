@@ -37,7 +37,7 @@ void FoldMatchMetrics(const MatchStats& before, const MatchStats& after) {
 bool MatchConjunction(std::span<const Atom> pattern, const FactIndex& index,
                       const Substitution& initial,
                       FunctionRef<bool(const Substitution&)> on_match,
-                      MatchStats* stats, const MatchOptions& options) {
+                      MatchStats* stats, ExecGovernor* governor) {
   // With metrics on, effort is folded into the registry once per call —
   // never per node. A caller-provided MatchStats is snapshotted so only
   // this call's delta lands; callers without one get a local stand-in.
@@ -48,7 +48,7 @@ bool MatchConjunction(std::span<const Atom> pattern, const FactIndex& index,
   const MatchStats before = effective != nullptr ? *effective : MatchStats{};
 
   const bool complete =
-      MatchCompiled(pattern, index, initial, on_match, effective, options);
+      MatchCompiled(pattern, index, initial, on_match, effective, governor);
   if (metrics) FoldMatchMetrics(before, *effective);
   return complete;
 }

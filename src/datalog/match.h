@@ -47,18 +47,6 @@ struct MatchStats {
   }
 };
 
-struct MatchOptions {
-  /// Optional resource governor ticked once per backtracking node and per
-  /// candidate-loop iteration (amortized; see util/deadline.h). When it
-  /// trips, the search unwinds and MatchConjunction returns false exactly
-  /// as if the callback had stopped enumeration — callers that need to
-  /// tell the two apart inspect governor->tripped(). Not owned; one
-  /// governor may be shared across many MatchConjunction calls so budgets
-  /// span a whole check, not one search. Its trip latches across calls:
-  /// once tripped, every subsequent governed search returns immediately.
-  ExecGovernor* governor = nullptr;
-};
-
 /// Enumerates all substitutions extending `initial` that map every atom of
 /// `pattern` to some atom in `index`. Invokes `on_match` for each complete
 /// substitution; enumeration stops early if `on_match` returns false.
@@ -69,6 +57,15 @@ struct MatchOptions {
 /// the pattern. `stats`, when non-null, accumulates search effort for
 /// benchmarks.
 ///
+/// `governor`, when non-null, is ticked once per backtracking node and per
+/// candidate-loop iteration (amortized; see util/deadline.h). When it
+/// trips, the search unwinds and MatchConjunction returns false exactly as
+/// if the callback had stopped enumeration — callers that need to tell the
+/// two apart inspect governor->tripped(). Not owned; one governor may be
+/// shared across many MatchConjunction calls so budgets span a whole
+/// check, not one search. Its trip latches across calls: once tripped,
+/// every subsequent governed search returns immediately.
+///
 /// `on_match` is a non-owning FunctionRef: the callable only has to
 /// outlive this call (std::function's owning type erasure was measurable
 /// per-node overhead in the backtracking hot path; see bench_hom_search).
@@ -76,7 +73,7 @@ bool MatchConjunction(std::span<const Atom> pattern, const FactIndex& index,
                       const Substitution& initial,
                       FunctionRef<bool(const Substitution&)> on_match,
                       MatchStats* stats = nullptr,
-                      const MatchOptions& options = {});
+                      ExecGovernor* governor = nullptr);
 
 /// Convenience: true iff at least one match exists; if so and `out` is
 /// non-null, stores the first match found.

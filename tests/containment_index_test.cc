@@ -38,35 +38,32 @@ TEST(SignatureTest, PredicateBitsSubsetToleratesDifferentWidths) {
 }
 
 TEST(SignatureTest, SigmaClosureAddsOnlyRho1AndRho5Heads) {
-  auto closure_of = [](const std::vector<PredicateId>& preds, bool with_rho5) {
+  auto closure_of = [](const std::vector<PredicateId>& preds) {
     PredicateBits bits;
     for (PredicateId p : preds) bits.Set(p);
-    return SigmaClosurePredicates(bits, with_rho5);
+    return SigmaClosurePredicates(bits);
   };
 
   // {mandatory} |-> + data (rho_5), and nothing else.
-  PredicateBits c = closure_of({pfl::kMandatory}, true);
+  PredicateBits c = closure_of({pfl::kMandatory});
   EXPECT_TRUE(c.Test(pfl::kData));
   EXPECT_FALSE(c.Test(pfl::kMember));
   EXPECT_EQ(c.Count(), 2);
 
-  // Same start without rho_5 (the Sigma_FL^- chase): inert.
-  EXPECT_EQ(closure_of({pfl::kMandatory}, false).Count(), 1);
-
   // {type, data} |-> + member (rho_1).
-  c = closure_of({pfl::kType, pfl::kData}, true);
+  c = closure_of({pfl::kType, pfl::kData});
   EXPECT_TRUE(c.Test(pfl::kMember));
   EXPECT_EQ(c.Count(), 3);
 
   // {mandatory, type} |-> + data (rho_5), then + member (rho_1): the
   // fixpoint chains.
-  c = closure_of({pfl::kMandatory, pfl::kType}, true);
+  c = closure_of({pfl::kMandatory, pfl::kType});
   EXPECT_TRUE(c.Test(pfl::kData));
   EXPECT_TRUE(c.Test(pfl::kMember));
   EXPECT_EQ(c.Count(), 4);
 
   // sub and funct are preserved but never invented.
-  c = closure_of({pfl::kSub, pfl::kFunct}, true);
+  c = closure_of({pfl::kSub, pfl::kFunct});
   EXPECT_EQ(c.Count(), 2);
 }
 
@@ -77,8 +74,10 @@ TEST(SignatureTest, ConstantMultiplicityIsNotADischargeCondition) {
   // the *distinct* constants and grams participate in the subset test.
   ConjunctiveQuery lhs_q = Q(world, "l(X) :- member(X, c).");
   ConjunctiveQuery rhs_q = Q(world, "r(X) :- member(X, c), member(Y, c).");
-  ClosureSignature lhs =
-      ComputeClosureSignature(lhs_q, ChaseDepth::kNone, nullptr);
+  const ChaseResult probe = ChaseQuery(world, lhs_q);
+  ASSERT_EQ(probe.outcome(), ChaseOutcome::kCompleted);
+  ClosureSignature lhs = ComputeClosureSignature(lhs_q, probe);
+  ASSERT_TRUE(lhs.exact);
   QuerySignature rhs = ComputeQuerySignature(rhs_q);
   EXPECT_EQ(rhs.constant_counts[0], 2u);  // the multiset is still recorded
   EXPECT_EQ(rhs.grams.size(), 1u);
@@ -87,13 +86,11 @@ TEST(SignatureTest, ConstantMultiplicityIsNotADischargeCondition) {
 
 // Decides lhs ⊆ rhs with the signature filter on and off; returns the
 // filtered verdict after checking both pipelines agree on the resolution.
-PairVerdict CheckBothWays(const char* lhs, const char* rhs,
-                          ChaseDepth depth = ChaseDepth::kPaperBound) {
+PairVerdict CheckBothWays(const char* lhs, const char* rhs) {
   World world;
   const ConjunctiveQuery queries[] = {Q(world, lhs), Q(world, rhs)};
   BatchContainmentOptions with_index;
   with_index.jobs = 1;
-  with_index.containment.depth = depth;
   BatchContainmentOptions no_index = with_index;
   no_index.containment.use_signature_index = false;
   ContainmentEngine fast(world, with_index);
@@ -112,13 +109,10 @@ PairVerdict CheckBothWays(const char* lhs, const char* rhs,
 // The pair the multiplicity test used before grams: rhs needs a member
 // conjunct with c in *first* position, which the lhs chase lacks.
 TEST(SignatureTest, MissingGramDischargesThePair) {
-  for (ChaseDepth depth : {ChaseDepth::kPaperBound, ChaseDepth::kNone}) {
-    const PairVerdict v = CheckBothWays(
-        "l(X) :- member(X, c).", "r(X) :- member(X, c), member(c, c).",
-        depth);
-    EXPECT_TRUE(v.pruned);
-    EXPECT_EQ(v.resolution, Resolution::kNotContained);
-  }
+  const PairVerdict v = CheckBothWays("l(X) :- member(X, c).",
+                                      "r(X) :- member(X, c), member(c, c).");
+  EXPECT_TRUE(v.pruned);
+  EXPECT_EQ(v.resolution, Resolution::kNotContained);
 }
 
 TEST(SignatureTest, GramsArePositional) {
@@ -312,12 +306,10 @@ std::vector<ConjunctiveQuery> ConstraintWorkload(World& world) {
 
 // Checks every pair with the signature filter on against the full
 // pipeline and returns how many pairs only a gram test discharged.
-uint64_t ExpectDifferentialParity(World& world,
-                                  const std::vector<ConjunctiveQuery>& queries,
-                                  ChaseDepth depth = ChaseDepth::kPaperBound) {
+uint64_t ExpectDifferentialParity(
+    World& world, const std::vector<ConjunctiveQuery>& queries) {
   BatchContainmentOptions with_index;
   with_index.jobs = 1;
-  with_index.containment.depth = depth;
   ContainmentEngine pruned_engine(world, with_index);
 
   BatchContainmentOptions no_index = with_index;
@@ -379,24 +371,12 @@ TEST(ContainmentIndexTest, DifferentialSoundnessUnaryWorkload) {
   ExpectDifferentialParity(world, UnaryWorkload(world));
 }
 
-TEST(ContainmentIndexTest, DifferentialSoundnessLevelZeroAndClassical) {
-  for (ChaseDepth depth : {ChaseDepth::kLevelZero, ChaseDepth::kNone}) {
-    World world;
-    ExpectDifferentialParity(world, BooleanWorkload(world), depth);
-  }
-}
-
 // The gram stage against the full pipeline on a workload where grams do
-// real work: every depth mode must discharge some pair by gram alone and
-// never a pair the full pipeline calls CONTAINED or UNKNOWN.
+// real work: it must discharge some pair by gram alone and never a pair
+// the full pipeline calls CONTAINED or UNKNOWN.
 TEST(ContainmentIndexTest, DifferentialSoundnessGramsOnConstraintWorkload) {
-  for (ChaseDepth depth :
-       {ChaseDepth::kPaperBound, ChaseDepth::kLevelZero, ChaseDepth::kNone}) {
-    World world;
-    EXPECT_GT(ExpectDifferentialParity(world, ConstraintWorkload(world), depth),
-              0u)
-        << "depth " << int(depth);
-  }
+  World world;
+  EXPECT_GT(ExpectDifferentialParity(world, ConstraintWorkload(world)), 0u);
 }
 
 // ---- the incremental index -----------------------------------------------

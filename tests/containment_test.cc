@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "containment/containment.h"
 #include "containment/homomorphism.h"
 #include "containment/minimize.h"
@@ -175,7 +177,7 @@ TEST(ContainmentTest, MandatoryAttributeImpliesSomeValue) {
   EXPECT_TRUE(Contained(world, q1, q2));
   // Not visible at level 0 (rho_5 never fires there).
   ContainmentOptions level_zero;
-  level_zero.depth = ChaseDepth::kLevelZero;
+  level_zero.level_override = 0;
   EXPECT_FALSE(Contained(world, q1, q2, level_zero));
 }
 
@@ -282,6 +284,155 @@ TEST(ContainmentTest, RepeatedChecksGrowTheWorldOnlyByRenamings) {
     ASSERT_TRUE(Contained(world, q1, q2));
   }
   EXPECT_EQ(world.variable_count(), before + 10 + 100 * renamed);
+}
+
+// ---- resource governance of the one-shot checks ---------------------------
+
+// A pair no homomorphism settles quickly: q2 is a directed 7-cycle over
+// member edges, and body(q1) is the complete bipartite digraph between
+// a1..a5 and b1..b5. An odd cycle never maps into a bipartite graph, so
+// every search exhausts tens of thousands of nodes and crosses the
+// governor's first stride check. Only member atoms occur, so no Sigma_FL
+// rule fires and the chase of q1 is body(q1).
+struct GovernedPair {
+  ConjunctiveQuery q1;
+  ConjunctiveQuery q2;
+};
+
+GovernedPair MakeOddCycleIntoBipartitePair(World& world) {
+  std::string body;
+  for (int a = 1; a <= 5; ++a) {
+    for (int b = 1; b <= 5; ++b) {
+      const std::string ta = "A" + std::to_string(a);
+      const std::string tb = "B" + std::to_string(b);
+      body += (body.empty() ? "" : ", ") + ("member(" + ta + ", " + tb + ")");
+      body += ", member(" + tb + ", " + ta + ")";
+    }
+  }
+  std::string cycle;
+  for (int i = 1; i <= 7; ++i) {
+    cycle += (i == 1 ? "" : ", ") + ("member(X" + std::to_string(i) + ", X" +
+                                     std::to_string(i % 7 + 1) + ")");
+  }
+  return {Q(world, ("q() :- " + body + ".").c_str()),
+          Q(world, ("q() :- " + cycle + ".").c_str())};
+}
+
+// Each one-shot entry point under each budget that can stop it. The
+// verdict-returning checks degrade to UNKNOWN with the tripped budget's
+// reason (never a spurious NOT_CONTAINED); CheckUcqContainment has no
+// UNKNOWN channel and reports the trip as a typed error.
+TEST(ContainmentGovernanceTest, EveryEntryPointReportsEveryTrip) {
+  enum class Trip { kHomSteps, kCancelled, kDeadline, kChaseAtoms };
+  enum class Check { kSigmaFL, kClassical, kUnderDependencies, kUcq };
+  struct Row {
+    Trip trip;
+    TripReason reason;  // expected unknown_reason
+    StatusCode ucq_code;
+  };
+  const Row rows[] = {
+      {Trip::kHomSteps, TripReason::kHomStepBudget,
+       StatusCode::kResourceExhausted},
+      {Trip::kCancelled, TripReason::kCancelled, StatusCode::kCancelled},
+      {Trip::kDeadline, TripReason::kDeadlineExceeded,
+       StatusCode::kDeadlineExceeded},
+      {Trip::kChaseAtoms, TripReason::kChaseAtomBudget,
+       StatusCode::kResourceExhausted},
+  };
+  for (const Row& row : rows) {
+    for (Check check : {Check::kSigmaFL, Check::kClassical,
+                        Check::kUnderDependencies, Check::kUcq}) {
+      SCOPED_TRACE("trip " + std::to_string(int(row.trip)) + ", check " +
+                   std::to_string(int(check)));
+      World world;
+      const GovernedPair pair = MakeOddCycleIntoBipartitePair(world);
+      // Weakly acyclic, and inert on member-only bodies.
+      Result<DependencySet> deps = ParseDependencies(
+          world, "member(O, D) :- member(O, C), sub(C, D).");
+      ASSERT_TRUE(deps.ok()) << deps.status().ToString();
+
+      ContainmentOptions options;
+      CancellationSource source;
+      switch (row.trip) {
+        case Trip::kHomSteps:
+          options.budget.hom_step_budget = 1;
+          break;
+        case Trip::kCancelled:
+          source.Cancel();
+          options.budget.cancel = source.token();
+          break;
+        case Trip::kDeadline:
+          options.budget.deadline = Deadline::AfterMillis(0);
+          break;
+        case Trip::kChaseAtoms:
+          options.max_chase_atoms = 5;
+          break;
+      }
+
+      if (check == Check::kUcq) {
+        const ConjunctiveQuery disjuncts[] = {pair.q2};
+        Result<std::optional<size_t>> hit =
+            CheckUcqContainment(world, pair.q1, disjuncts, options);
+        ASSERT_FALSE(hit.ok());
+        EXPECT_EQ(hit.status().code(), row.ucq_code)
+            << hit.status().ToString();
+        continue;
+      }
+      Result<ContainmentResult> result =
+          check == Check::kSigmaFL
+              ? CheckContainment(world, pair.q1, pair.q2, options)
+          : check == Check::kClassical
+              ? CheckClassicalContainment(world, pair.q1, pair.q2, options)
+              : CheckContainmentUnderDependencies(world, pair.q1, pair.q2,
+                                                  *deps, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_FALSE(result->contained);
+      if (check == Check::kClassical && row.trip == Trip::kChaseAtoms) {
+        // The classical check builds no chase, so the atom budget never
+        // applies: its search over body(q1) refutes containment.
+        EXPECT_EQ(result->resolution, Resolution::kNotContained);
+        EXPECT_EQ(result->unknown_reason, TripReason::kNone);
+        EXPECT_TRUE(result->conclusive);
+        continue;
+      }
+      EXPECT_EQ(result->resolution, Resolution::kUnknown);
+      EXPECT_EQ(result->unknown_reason, row.reason);
+      EXPECT_FALSE(result->conclusive);
+    }
+  }
+}
+
+// A body larger than the atom budget stops the chase while it is still
+// seeding body(q1). The truncated prefix must carry q1's head all the
+// same: the search seeds q2's head from it, a positive stays sound, and a
+// negative degrades to UNKNOWN.
+TEST(ContainmentGovernanceTest, BodyLargerThanTheAtomBudgetKeepsTheHead) {
+  World world;
+  const ConjunctiveQuery q1 =
+      Q(world,
+        "q(X) :- member(X, A), member(A, B), member(B, C), member(C, D), "
+        "member(D, E), member(E, F).");
+  const ConjunctiveQuery in_prefix = Q(world, "q(Y) :- member(Y, Z).");
+  const ConjunctiveQuery loop = Q(world, "q(Y) :- member(Y, Y).");
+  ContainmentOptions options;
+  options.max_chase_atoms = 5;
+  for (bool under_dependencies : {false, true}) {
+    auto check = [&](const ConjunctiveQuery& q2) {
+      return under_dependencies
+                 ? CheckContainmentUnderDependencies(world, q1, q2,
+                                                     DependencySet{}, options)
+                 : CheckContainment(world, q1, q2, options);
+    };
+    Result<ContainmentResult> positive = check(in_prefix);
+    ASSERT_TRUE(positive.ok()) << positive.status().ToString();
+    EXPECT_EQ(positive->chase.outcome(), ChaseOutcome::kBudgetExceeded);
+    EXPECT_EQ(positive->resolution, Resolution::kContained);
+
+    Result<ContainmentResult> negative = check(loop);
+    ASSERT_TRUE(negative.ok()) << negative.status().ToString();
+    EXPECT_EQ(negative->resolution, Resolution::kUnknown);
+    EXPECT_EQ(negative->unknown_reason, TripReason::kChaseAtomBudget);
+  }
 }
 
 // ---- equivalence ---------------------------------------------------------

@@ -474,7 +474,9 @@ TEST_F(MetricsTest, SnapshotDeltaSubtractsCountersAndHistograms) {
   EXPECT_EQ(counters["test.delta_fresh"], 3u);
   // Gauges are point-in-time: the delta carries `after`'s value verbatim.
   for (const auto& g : delta.gauges) {
-    if (g.name == "test.delta_gauge") EXPECT_EQ(g.value, 42);
+    if (g.name == "test.delta_gauge") {
+      EXPECT_EQ(g.value, 42);
+    }
   }
   for (const auto& h : delta.histograms) {
     if (h.name != "test.delta_histogram") continue;
@@ -490,7 +492,9 @@ TEST_F(MetricsTest, SnapshotDeltaSubtractsCountersAndHistograms) {
   MetricsSnapshot reset_after = MetricsRegistry::Get().Snapshot();
   MetricsSnapshot clamped = MetricsRegistry::SnapshotDelta(after, reset_after);
   for (const auto& c : clamped.counters) {
-    if (c.name == "test.delta_counter") EXPECT_EQ(c.value, 0u);
+    if (c.name == "test.delta_counter") {
+      EXPECT_EQ(c.value, 0u);
+    }
   }
 }
 

@@ -101,7 +101,7 @@ TEST_P(BaselineSoundnessProperty, LevelZeroImpliesSigma) {
   if (q1.arity() != q2.arity()) return;
 
   ContainmentOptions level_zero;
-  level_zero.depth = ChaseDepth::kLevelZero;
+  level_zero.level_override = 0;
   Result<ContainmentResult> shallow =
       CheckContainment(world, q1, q2, level_zero);
   ASSERT_TRUE(shallow.ok());
